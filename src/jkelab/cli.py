@@ -311,39 +311,42 @@ def build_parser() -> argparse.ArgumentParser:
                      "public-key + jamming key-exchange system."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format):
+    def common(p):
         p.add_argument("--config", required=True,
                        help="path to a JSON config, or a shipped config name "
                             f"({', '.join(cfg.shipped_config_names())})")
         p.add_argument("--out", default="jkelab-out",
                        help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's RNG seed (simulate only)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=default_format,
+
+    def output_format(p, default):
+        p.add_argument("--format", choices=("csv", "json"), default=default,
                        help="output format for the primary artifact")
 
     p_analyze = sub.add_parser("analyze",
                                help="secrecy rate and exchange duration at "
                                     "one operating point")
-    common(p_analyze, "json")
+    common(p_analyze)
+    output_format(p_analyze, "json")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="grid sweeps (secrecy-rate map "
                                            "or minimum-SNR thresholds)")
-    common(p_sweep, "csv")
+    common(p_sweep)
+    output_format(p_sweep, "csv")
     p_sweep.add_argument("--which", choices=SWEEP_KINDS, default=None,
                          help="sweep kind (overrides the config)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo session with "
                                             "storage attack")
-    common(p_sim, "csv")
+    common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override the config's RNG seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_race = sub.add_parser("race", help="exchange duration vs attacker "
                                          "time model")
-    common(p_race, "json")
+    common(p_race)
     p_race.set_defaults(func=cmd_race)
     return parser
 

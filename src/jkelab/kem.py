@@ -143,14 +143,9 @@ def _block_bytes(modulus: int) -> int:
     return (modulus.bit_length() - 1) // 8
 
 
-def encapsulate(pubkey: KemKeyPair, key: KeyMaterial,
-                rng_seed: int | None = None) -> RsaCiphertext:
-    """Encrypt ``key`` block-wise under the public part of ``pubkey``.
-
-    ``rng_seed`` is accepted for interface stability but unused: the
-    unpadded textbook scheme is deterministic.
-    """
-    del rng_seed
+def encapsulate(pubkey: KemKeyPair, key: KeyMaterial) -> RsaCiphertext:
+    """Encrypt ``key`` block-wise under the public part of ``pubkey``; the
+    unpadded textbook scheme is deterministic."""
     k = _block_bytes(pubkey.modulus)
     data = key.bits
     blocks = tuple(

@@ -1,8 +1,9 @@
-"""NumPy reference implementations of the hot kernels.
+"""The Monte-Carlo hot kernels: mid-rise quantization of both receivers and
+unpacking of the SHAKE-256 jamming bit stream, in plain NumPy.
 
-These are the semantic ground truth: the compiled twins in ``_fast.pyx``
-must produce bit-identical output (enforced by tests), so simulation
-results never depend on which backend happens to be installed.
+They stay in their own module, apart from ``adc`` and ``jamming``, so that
+callers look them up as ``kernels.<name>`` and a profiler can wrap that
+one attribute.
 """
 
 import math

@@ -135,10 +135,6 @@ class KeyMaterial:
     def to_int(self) -> int:
         return int.from_bytes(self.bits, "big")
 
-    @classmethod
-    def from_int(cls, value: int, n_bits: int) -> "KeyMaterial":
-        return cls(value.to_bytes(n_bits // 8, "big"))
-
 
 @dataclass(frozen=True)
 class SystemParams:

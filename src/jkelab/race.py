@@ -95,8 +95,6 @@ class JitterTrend:
 # best published aperture jitter at the 2024 edge.
 DEFAULT_TREND = JitterTrend(reference_year=2024, reference_jitter_s=50e-15,
                             doubling_period_years=4.57)
-SLOW_TREND = JitterTrend(reference_year=2024, reference_jitter_s=50e-15,
-                         doubling_period_years=8.34)
 
 
 def project_jitter(trend: JitterTrend, year: float) -> float:

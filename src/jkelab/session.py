@@ -118,16 +118,14 @@ def _encode_key(key: KeyMaterial, n_symbols: int, signal_power: float) -> np.nda
 def _decode_key(key: KeyMaterial, bob_post: np.ndarray) -> tuple:
     """Majority vote per key bit over its repetition positions; returns
     (bit error count, bits covered by at least one symbol)."""
-    n = len(bob_post)
     n_bits = key.n_bits
-    idx = np.arange(n) % n_bits
-    votes = np.zeros(n_bits)
-    np.add.at(votes, idx, np.sign(bob_post))
-    covered = np.zeros(n_bits, dtype=bool)
-    covered[np.unique(idx)] = True
-    decided = votes > 0
-    errors = int(np.sum(decided[covered] != (key.bit_array() == 1)[covered]))
-    return errors, int(covered.sum())
+    idx = np.arange(len(bob_post)) % n_bits
+    votes = np.bincount(idx, weights=np.sign(bob_post), minlength=n_bits)
+    # Symbol j carries bit j mod n_bits, so exactly the first bits are covered.
+    covered = min(len(bob_post), n_bits)
+    decided = votes[:covered] > 0
+    errors = int(np.sum(decided != (key.bit_array()[:covered] == 1)))
+    return errors, covered
 
 
 def run_jke_session(params: SystemParams, cancel: CancellationModel,

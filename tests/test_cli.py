@@ -304,3 +304,15 @@ class TestRace:
         assert payload["race"]["verdict"] == "everlasting"
         assert payload["race"]["attacker"]["t_qc_s"] == pytest.approx(
             23.6682 * 3600, rel=1e-6)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "3"], ["sweep", "--seed", "3"],
+        ["race", "--seed", "3"], ["simulate", "--format", "json"],
+        ["race", "--format", "json"]], ids=lambda argv: argv[0] + argv[1])
+    def test_flag_the_command_ignores_is_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit):
+            main(argv[:1] + ["--config", "race-default",
+                             "--out", str(tmp_path / "o")] + argv[1:])
+        assert not (tmp_path / "o").exists()
