@@ -69,7 +69,7 @@ def cmd_analyze(args) -> int:
     config = cfg.load_config(args.config)
     params = cfg.parse_system(config)
     _validate_for_analysis(params)
-    key_bits = int(config.get("key_bits", 256))
+    key_bits = cfg.require_integer(config.get("key_bits", 256), "key_bits")
     efficiency = float(config.get("efficiency", 0.001))
 
     report = secrecy_rate(params)
@@ -114,7 +114,7 @@ def cmd_sweep(args) -> int:
     config = cfg.load_config(args.config)
     params = cfg.parse_system(config)
     validate(params)
-    sweep_block = config.get("sweep", {})
+    sweep_block = cfg.require_object(config.get("sweep", {}), "sweep")
     which = args.which or sweep_block.get("which")
     if which not in SWEEP_KINDS:
         raise ValidationError(
@@ -141,7 +141,8 @@ def cmd_sweep(args) -> int:
         axes = {name: cfg.parse_axis(sweep_block.get(name, default),
                                      f"sweep.{name}")
                 for name, default in _DEFAULT_THRESHOLD_AXES.items()}
-        w_axis = [int(w) for w in axes["jamming_bits"]]
+        w_axis = [cfg.require_integer(w, "sweep.jamming_bits")
+                  for w in axes["jamming_bits"]]
         grid = sweep_min_bob_snr(params, w_axis, axes["eve_jitter_s"])
         sidecar["axes"] = {"jamming_bits": w_axis,
                            "eve_jitter_s": axes["eve_jitter_s"]}
@@ -157,9 +158,10 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_kem_block(block: dict):
-    mode = block.get("mode", "toy-rsa")
+    mode = cfg.require_object(block, "simulate.kem").get("mode", "toy-rsa")
     if mode == "toy-rsa":
-        return mode, int(block.get("bit_length", 64))
+        return mode, cfg.require_integer(block.get("bit_length", 64),
+                                         "simulate.kem.bit_length")
     if mode == "passthrough":
         return mode, None
     raise ValidationError("simulate.kem.mode must be 'toy-rsa' or 'passthrough'")
@@ -169,13 +171,16 @@ def cmd_simulate(args) -> int:
     config = cfg.load_config(args.config)
     params = cfg.parse_system(config)
     validate(params)
-    sim = config.get("simulate", {})
-    n_symbols = int(sim.get("n_symbols", 100_000))
-    seed = int(args.seed) if args.seed is not None else int(sim.get("seed", 0))
+    sim = cfg.require_object(config.get("simulate", {}), "simulate")
+    n_symbols = cfg.require_integer(sim.get("n_symbols", 100_000),
+                                    "simulate.n_symbols")
+    seed = (args.seed if args.seed is not None
+            else cfg.require_integer(sim.get("seed", 0), "simulate.seed"))
     depth = sim.get("cancellation_db", "inf")
     cancel = CancellationModel(math.inf if depth == "inf" else float(depth))
     kem_mode, kem_bits = _parse_kem_block(sim.get("kem", {}))
-    key_bits = int(sim.get("key_bits", config.get("key_bits", 256)))
+    key_bits = cfg.require_integer(
+        sim.get("key_bits", config.get("key_bits", 256)), "key_bits")
     jam_scale = sim.get("jam_scale")
 
     # Fold the effective seed back in so a rerun from the written config
@@ -224,15 +229,16 @@ def cmd_race(args) -> int:
     config = cfg.load_config(args.config)
     params = cfg.parse_system(config)
     validate(params)
-    race_block = config.get("race", {})
+    race_block = cfg.require_object(config.get("race", {}), "race")
     attacker = _parse_attacker(race_block.get("attacker", {}))
     trend = _parse_trend(race_block.get("trend"))
+    key_bits = cfg.require_integer(config.get("key_bits", 256), "key_bits")
 
     report = secrecy_rate(params)
     out = _outdir(args)
     _write_effective_config(out, config)
     try:
-        timing = jke_duration(report, int(config.get("key_bits", 256)),
+        timing = jke_duration(report, key_bits,
                               float(config.get("efficiency", 0.001)))
     except NoPositiveSecrecyError as exc:
         output.write_json(out / "race.json", {
@@ -260,10 +266,11 @@ def cmd_race(args) -> int:
 
 
 def _parse_attacker(block: dict) -> race.AttackerTimeModel:
+    cfg.require_object(block, "race.attacker")
     if "preset" in block:
         try:
-            return race.get_preset(block["preset"],
-                                   cores=int(block.get("cores", 1)))
+            return race.get_preset(block["preset"], cores=cfg.require_integer(
+                block.get("cores", 1), "race.attacker.cores"))
         except KeyError as exc:
             raise ValidationError(str(exc)) from exc
     if "t_qc_s" in block or "name" in block:
@@ -278,6 +285,7 @@ def _parse_attacker(block: dict) -> race.AttackerTimeModel:
 def _parse_trend(block) -> race.JitterTrend:
     if block is None:
         return race.DEFAULT_TREND
+    cfg.require_object(block, "race.trend")
     return race.JitterTrend(
         reference_year=float(block.get("reference_year", 2024)),
         reference_jitter_s=float(block.get("reference_jitter_s", 50e-15)),

@@ -69,9 +69,27 @@ def load_config(name_or_path) -> dict:
     path = resolve_config(name_or_path)
     try:
         with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    return require_object(config, "<root>")
+
+
+def require_object(block, context: str) -> dict:
+    """``block`` itself, if it is a JSON object."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"{context} must be an object")
+    return block
+
+
+def require_integer(value, context: str) -> int:
+    """A JSON number with an integral value (``14`` or ``14.0``) as an int;
+    anything else, such as ``14.7``, ``true`` or ``"14"``, is rejected
+    rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValidationError(f"{context} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require(block: dict, key: str, context: str):
@@ -93,8 +111,7 @@ def _parse_channel(block, signal_power: float, context: str) -> float:
 
 
 def _parse_adc(block, context: str) -> AdcSpec:
-    if not isinstance(block, dict):
-        raise ValidationError(f"{context} must be an object")
+    require_object(block, context)
     explicit = block.get("explicit_bits")
     return AdcSpec(
         aperture_jitter_s=float(_require(block, "aperture_jitter_s", context)),
@@ -102,13 +119,14 @@ def _parse_adc(block, context: str) -> AdcSpec:
 
 
 def parse_system(config: dict) -> SystemParams:
-    sys_block = _require(config, "system", "<root>")
+    sys_block = require_object(_require(config, "system", "<root>"), "system")
     signal_power = float(sys_block.get("signal_power", 1.0))
     return SystemParams(
         bandwidth_hz=float(_require(sys_block, "bandwidth_hz", "system")),
         signal_power=signal_power,
-        jamming_bits_per_symbol=int(
-            _require(sys_block, "jamming_bits_per_symbol", "system")),
+        jamming_bits_per_symbol=require_integer(
+            _require(sys_block, "jamming_bits_per_symbol", "system"),
+            "system.jamming_bits_per_symbol"),
         dynamic_range_factor=float(sys_block.get("dynamic_range_factor", 2.5)),
         bob_adc=_parse_adc(_require(sys_block, "bob_adc", "system"),
                            "system.bob_adc"),
@@ -152,8 +170,7 @@ def system_to_dict(params: SystemParams) -> dict:
 def parse_axis(block, context: str) -> list:
     """An axis is an explicit value list, a linear min/max/step range, or a
     log-spaced min/max/points range; always strictly increasing."""
-    if not isinstance(block, dict):
-        raise ValidationError(f"{context} must be an object")
+    require_object(block, context)
     if "values" in block:
         return [float(v) for v in block["values"]]
     lo = float(_require(block, "min", context))
@@ -161,7 +178,8 @@ def parse_axis(block, context: str) -> list:
     if hi < lo:
         raise ValidationError(f"{context}: max must be >= min")
     if block.get("spacing", "linear") == "log":
-        points = int(_require(block, "points", context))
+        points = require_integer(_require(block, "points", context),
+                                 f"{context}.points")
         if points < 1 or lo <= 0:
             raise ValidationError(f"{context}: log axis needs points >= 1 and min > 0")
         if points == 1:

@@ -56,7 +56,10 @@ def jamming_stream(seed: KeyMaterial, bits_per_symbol: int, n_symbols: int,
     raw = xof.digest((n_symbols * w + 7) // 8)
     words = kernels.unpack_symbols(raw, n_symbols, w)
     top = float(2 ** w - 1)
-    symbols = (2.0 * words - top) / top * jam_scale
+    symbols = np.multiply(words, 2.0)
+    symbols -= top
+    symbols /= top
+    symbols *= jam_scale
     symbols.setflags(write=False)
     return JammingStream(seed=seed, bits_per_symbol=w, jam_scale=jam_scale,
                          symbols=symbols)

@@ -16,22 +16,44 @@ def quantize_midrise(samples, step, full_scale):
 
     Reconstruction levels sit at ``(k + 0.5) * step``; inputs beyond
     ``[-full_scale, +full_scale]`` collapse to the outermost level.
+    ``samples`` is never written to.
     """
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    k = np.floor(x / step)
+    levels = np.divide(x, step)
+    np.floor(levels, out=levels)
     k_top = float(math.ceil(full_scale / step)) - 1.0
-    np.clip(k, -(k_top + 1.0), k_top, out=k)
-    return (k + 0.5) * step
+    np.clip(levels, -(k_top + 1.0), k_top, out=levels)
+    levels += 0.5
+    levels *= step
+    return levels
 
 
 def unpack_symbols(raw, n_symbols, bits_per_symbol):
     """Split a big-endian bit stream into ``n_symbols`` unsigned integers.
 
     ``raw`` must hold at least ``n_symbols * bits_per_symbol`` bits.
+    Every ``8 / gcd(w, 8)`` symbols of ``w`` bits fill whole bytes, so
+    each symbol slot of such a group sits at a fixed byte offset and bit
+    shift within the group: its column is assembled from at most five
+    strided byte slices, straight into the int64 result.
     """
-    total = n_symbols * bits_per_symbol
-    if len(raw) * 8 < total:
+    w = bits_per_symbol
+    if len(raw) * 8 < n_symbols * w:
         raise ValueError("bit stream too short for requested symbol count")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=total)
-    weights = (1 << np.arange(bits_per_symbol - 1, -1, -1)).astype(np.int64)
-    return bits.reshape(n_symbols, bits_per_symbol).astype(np.int64) @ weights
+    data = np.frombuffer(raw, dtype=np.uint8)
+    period = 8 // math.gcd(w, 8)
+    group_bytes = w * period // 8
+    words = np.empty(n_symbols, dtype=np.int64)
+    for slot in range(min(period, n_symbols)):
+        column = words[slot::period]
+        first, offset = divmod(slot * w, 8)
+        n_bytes = (offset + w + 7) // 8
+        np.copyto(column, data[first::group_bytes][:len(column)])
+        for byte in range(first + 1, first + n_bytes):
+            column <<= 8
+            column |= data[byte::group_bytes][:len(column)]
+        if 8 * n_bytes > offset + w:
+            column >>= 8 * n_bytes - offset - w
+        if offset:
+            column &= (1 << w) - 1
+    return words

@@ -171,12 +171,12 @@ class SystemParams:
 def validate(params: SystemParams) -> SystemParams:
     """Check every operating-point invariant; raise on the first violation,
     naming it. Idempotent: returns ``params`` unchanged on success."""
-    if not params.bandwidth_hz > 0:
-        raise ValidationError("bandwidth must be positive")
-    if not params.signal_power > 0:
-        raise ValidationError("signal power must be positive")
-    if not params.dynamic_range_factor > 0:
-        raise ValidationError("dynamic range factor must be positive")
+    if not 0 < params.bandwidth_hz < math.inf:
+        raise ValidationError("bandwidth must be positive and finite")
+    if not 0 < params.signal_power < math.inf:
+        raise ValidationError("signal power must be positive and finite")
+    if not 0 < params.dynamic_range_factor < math.inf:
+        raise ValidationError("dynamic range factor must be positive and finite")
     w = params.jamming_bits_per_symbol
     if not (isinstance(w, (int, np.integer)) and w >= 0):
         raise ValidationError("jamming bits per symbol must be a non-negative integer")

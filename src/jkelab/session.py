@@ -73,7 +73,7 @@ class SimTrace:
     ``eve_rx = clean_signal + jamming + eve_noise``.
     ``eve_post`` is the stored record minus the true jamming (the
     best-case storage attack); ``stats`` is recomputable from the
-    sequences bit-for-bit.
+    sequences bit-for-bit. The sequences are read-only.
     """
 
     params: SystemParams
@@ -107,25 +107,33 @@ def default_jam_scale(params: SystemParams) -> float:
     return l * math.sqrt(p) * (2.0 ** params.jamming_bits_per_symbol - 1.0)
 
 
-def _encode_key(key: KeyMaterial, n_symbols: int, signal_power: float) -> np.ndarray:
-    """2-PAM with interleaved repetition: symbol j carries key bit
-    j mod n_bits at amplitude +-sqrt(P)."""
-    bits = key.bit_array()
-    idx = np.arange(n_symbols) % key.n_bits
-    return (2.0 * bits[idx] - 1.0) * math.sqrt(signal_power)
+def _encode_key(key: KeyMaterial, signal_power: float) -> np.ndarray:
+    """2-PAM amplitude +-sqrt(P) of each key bit, in key order. Symbol j
+    of the block carries key bit j mod n_bits (interleaved repetition)."""
+    return (2.0 * key.bit_array() - 1.0) * math.sqrt(signal_power)
 
 
-def _decode_key(key: KeyMaterial, bob_post: np.ndarray) -> tuple:
-    """Majority vote per key bit over its repetition positions; returns
-    (bit error count, bits covered by at least one symbol)."""
-    n_bits = key.n_bits
-    idx = np.arange(len(bob_post)) % n_bits
-    votes = np.bincount(idx, weights=np.sign(bob_post), minlength=n_bits)
+def _bob_errors(key: KeyMaterial, bit_amplitudes: np.ndarray,
+                bob_post: np.ndarray) -> tuple:
+    """Symbol sign errors, then the majority vote per key bit over its
+    repetition positions: returns (symbol error count, key bit error
+    count, bits covered by at least one symbol)."""
+    # Rows of n_bits symbols, so that column j holds key bit j, plus the
+    # partial last row.
+    signs = np.sign(bob_post)
+    full = len(signs) - len(signs) % key.n_bits
+    rows, tail = signs[:full].reshape(-1, key.n_bits), signs[full:]
+    bit_signs = np.sign(bit_amplitudes)
+    symbol_errors = (np.count_nonzero(rows != bit_signs)
+                     + np.count_nonzero(tail != bit_signs[:len(tail)]))
+    # Sums of -1/0/+1 are exact in any order.
+    votes = rows.sum(axis=0)
+    votes[:len(tail)] += tail
     # Symbol j carries bit j mod n_bits, so exactly the first bits are covered.
-    covered = min(len(bob_post), n_bits)
+    covered = min(len(bob_post), key.n_bits)
     decided = votes[:covered] > 0
-    errors = int(np.sum(decided != (key.bit_array()[:covered] == 1)))
-    return errors, covered
+    bit_errors = int(np.sum(decided != (key.bit_array()[:covered] == 1)))
+    return int(symbol_errors), bit_errors, covered
 
 
 def run_jke_session(params: SystemParams, cancel: CancellationModel,
@@ -158,39 +166,52 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
             f"with {cancel.depth_db:g} dB depth "
             f"({cancel.residual_bits:.2f} bits < w + {WARN_MARGIN_BITS:g})")
 
-    clean = _encode_key(key, n_symbols, p)
+    bit_amplitudes = _encode_key(key, p)
+    clean = np.resize(bit_amplitudes, n_symbols)
     if w > 0:
-        stream = jamming_stream(jamming_seed, w, n_symbols, jam_scale)
-        jam = np.asarray(stream.symbols)
+        jam = jamming_stream(jamming_seed, w, n_symbols, jam_scale).symbols
     else:
         jam = np.zeros(n_symbols)
     bob_noise = rng.normal(0.0, math.sqrt(params.bob_noise_var), n_symbols)
     eve_noise = rng.normal(0.0, math.sqrt(params.eve_noise_var), n_symbols)
 
-    bob_rx = clean + jam + bob_noise
-    eve_rx = clean + jam + eve_noise
+    # clean + jam is formed once, for both receivers, in eve_rx's buffer.
+    eve_rx = clean + jam
+    bob_rx = eve_rx + bob_noise
+    eve_rx += eve_noise
 
     # Analog-domain cancellation happens before the ADC, so the quantizer
     # only spans the useful signal plus whatever residual survives.
+    # ``scratch`` holds bob_pre, then each statistic's operand in turn.
     residual_gain = 1.0 - cancel.residual_amplitude_factor
-    bob_pre = bob_rx - residual_gain * jam
+    scratch = np.multiply(jam, residual_gain)
+    np.subtract(bob_rx, scratch, out=scratch)
     bob_q = adc.QuantizerConfig.for_signal(p, params.bob_bits(),
                                            params.dynamic_range_factor)
-    bob_post = adc.quantize(bob_pre, bob_q)
+    bob_post = adc.quantize(scratch, bob_q)
 
     eve_q = adc.QuantizerConfig.for_jammed_signal(
         p, params.eve_bits(), w, params.dynamic_range_factor)
     eve_stored = adc.quantize(eve_rx, eve_q)
     eve_post = eve_stored - jam
 
-    bit_errors, bits_covered = _decode_key(key, bob_post)
-    symbol_errors = int(np.sum(np.sign(bob_post) != np.sign(clean)))
+    symbol_errors, bit_errors, bits_covered = _bob_errors(
+        key, bit_amplitudes, bob_post)
+    signal_power_emp = float(np.mean(np.square(clean, out=scratch)))
+    residual_jamming_power = float(np.var(
+        np.multiply(jam, cancel.residual_amplitude_factor, out=scratch)))
+    bob_effective_snr = _effective_snr(
+        signal_power_emp, np.subtract(bob_post, clean, out=scratch))
+    eve_pre_attack_snr = _effective_snr(
+        signal_power_emp, np.subtract(eve_rx, clean, out=scratch))
+    eve_post_attack_snr = _effective_snr(
+        signal_power_emp, np.subtract(eve_post, clean, out=scratch))
+    eve_residual_var = float(np.var(np.subtract(scratch, eve_noise, out=scratch)))
     stats = {
         "n_symbols": int(n_symbols),
-        "signal_power_emp": float(np.mean(clean ** 2)),
+        "signal_power_emp": signal_power_emp,
         "jamming_power_emp": float(np.var(jam)),
-        "residual_jamming_power": float(
-            np.var(cancel.residual_amplitude_factor * jam)),
+        "residual_jamming_power": residual_jamming_power,
         "bob_noise_var_emp": float(np.var(bob_noise)),
         "eve_noise_var_emp": float(np.var(eve_noise)),
         "delta_b": bob_q.step,
@@ -199,12 +220,15 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         "bob_symbol_error_rate": symbol_errors / n_symbols,
         "bob_key_bit_errors": bit_errors,
         "bob_key_bits_covered": bits_covered,
-        "bob_effective_snr": _effective_snr(clean, bob_post),
-        "eve_pre_attack_snr": _effective_snr(clean, eve_rx),
-        "eve_post_attack_snr": _effective_snr(clean, eve_post),
-        "eve_residual_var": float(np.var(eve_post - clean - eve_noise)),
+        "bob_effective_snr": bob_effective_snr,
+        "eve_pre_attack_snr": eve_pre_attack_snr,
+        "eve_post_attack_snr": eve_post_attack_snr,
+        "eve_residual_var": eve_residual_var,
         "insufficient_cancellation": bool(warnings),
     }
+    for seq in (clean, jam, bob_noise, eve_noise, bob_rx, eve_rx, bob_post,
+                eve_stored, eve_post):
+        seq.setflags(write=False)
 
     return SimTrace(params=params, cancel=cancel, key=key,
                     jamming_seed=jamming_seed, jam_scale=jam_scale,
@@ -215,11 +239,13 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
                     stats=stats, warnings=tuple(warnings))
 
 
-def _effective_snr(clean: np.ndarray, observed: np.ndarray) -> float:
-    err_var = float(np.var(observed - clean))
+def _effective_snr(signal_power_emp: float, error: np.ndarray) -> float:
+    """Empirical signal power over the variance of ``error``, the observed
+    sequence minus the clean signal."""
+    err_var = float(np.var(error))
     if err_var == 0.0:
         return math.inf
-    return float(np.mean(clean ** 2)) / err_var
+    return signal_power_emp / err_var
 
 
 def true_jamming_stream(trace: SimTrace) -> JammingStream:
@@ -259,11 +285,15 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
     """
     if len(jamming.symbols) != len(trace.eve_stored):
         raise ValueError("jamming stream length does not match the trace")
-    z_prime = trace.eve_stored - jamming.symbols
-    residual = z_prime - trace.clean_signal - trace.eve_noise
+    # One buffer: the cleaned-up record z', then z' - clean, then what is
+    # left beyond the channel noise.
+    error = trace.eve_stored - jamming.symbols
+    error -= trace.clean_signal
+    post_attack_snr = _effective_snr(trace.stats["signal_power_emp"], error)
+    error -= trace.eve_noise
     return EveAttackReport(
         n_symbols=len(trace),
-        residual_var=float(np.var(residual)),
-        pre_attack_snr=_effective_snr(trace.clean_signal, trace.eve_rx),
-        post_attack_snr=_effective_snr(trace.clean_signal, z_prime),
+        residual_var=float(np.var(error)),
+        pre_attack_snr=trace.stats["eve_pre_attack_snr"],
+        post_attack_snr=post_attack_snr,
     )

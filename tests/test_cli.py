@@ -316,3 +316,36 @@ class TestFlags:
             main(argv[:1] + ["--config", "race-default",
                              "--out", str(tmp_path / "o")] + argv[1:])
         assert not (tmp_path / "o").exists()
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("patch, message", [
+        ({"system": []}, "system must be an object"),
+        ({"system": HEADLINE_SYSTEM | {"bandwidth_hz": 1e400}},
+         "bandwidth must be positive and finite"),
+        ({"system": HEADLINE_SYSTEM | {"jamming_bits_per_symbol": 14.7}},
+         "system.jamming_bits_per_symbol must be an integer"),
+        ({"simulate": SIM_BLOCK | {"n_symbols": 2.5}},
+         "simulate.n_symbols must be an integer"),
+    ], ids=["system-list", "bandwidth-inf", "jamming-bits-fraction",
+            "n-symbols-fraction"])
+    def test_named_validation_error(self, tmp_path, capsys, patch, message):
+        # json.dumps writes inf as Infinity; spell it 1e400, which a JSON
+        # parser reads as inf
+        payload = {"system": HEADLINE_SYSTEM, "simulate": SIM_BLOCK} | patch
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload).replace("Infinity", "1e400"),
+                        encoding="utf-8")
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "sim")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "system": HEADLINE_SYSTEM | {"jamming_bits_per_symbol": 14.0},
+            "simulate": SIM_BLOCK | {"n_symbols": 300.0}})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert read_json(out / "stats.json")["session"]["n_symbols"] == 300

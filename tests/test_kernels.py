@@ -1,5 +1,8 @@
 """The hot kernels against independent oracles."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,22 +19,43 @@ class TestQuantizeMidrise:
         assert levels.tolist() == [-0.875, -0.875, 0.875, 0.875, 0.875,
                                    -0.875, 0.125, -0.125]
 
+    def test_input_left_unchanged(self):
+        x = np.random.default_rng(3).normal(0.0, 2.0, 1000)
+        before = x.copy()
+        levels = quantize_midrise(x, 0.25, 1.0)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(levels, x)
+
 
 class TestUnpackSymbols:
-    @pytest.mark.parametrize("w", [1, 2, 7, 8, 13, 14, 31, 32])
+    @pytest.mark.parametrize("w", range(1, 33))
     def test_against_int_slicing_oracle(self, w):
-        # independent oracle: big-endian bit slicing through Python ints
+        # independent oracle: big-endian bit slicing through Python ints;
+        # n covers one symbol, a group of 8 / gcd(w, 8) symbols and its
+        # neighbours, and a long block; raw carries surplus trailing bytes
         rng = np.random.default_rng(w)
-        n = 997
-        raw = rng.bytes((n * w + 7) // 8)
-        stream = int.from_bytes(raw, "big")
-        total_bits = len(raw) * 8
-        expected = [(stream >> (total_bits - (i + 1) * w)) & ((1 << w) - 1)
-                    for i in range(n)]
-        words = unpack_symbols(raw, n, w)
-        assert words.dtype == np.int64
-        assert words.tolist() == expected
+        period = 8 // math.gcd(w, 8)
+        for n in sorted({1, period - 1, period, period + 1, 997}):
+            raw = rng.bytes((n * w + 7) // 8 + 3)
+            stream = int.from_bytes(raw, "big")
+            total_bits = len(raw) * 8
+            expected = [(stream >> (total_bits - (i + 1) * w)) & ((1 << w) - 1)
+                        for i in range(n)]
+            words = unpack_symbols(raw, n, w)
+            assert words.dtype == np.int64
+            assert words.tolist() == expected, n
 
     def test_short_buffer_rejected(self):
         with pytest.raises(ValueError):
             unpack_symbols(b"\x00", 3, 8)
+
+    def test_peak_memory_near_output_size(self):
+        n, w = 200_000, 20
+        raw = np.random.default_rng(0).bytes(n * w // 8)
+        tracemalloc.start()
+        try:
+            words = unpack_symbols(raw, n, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * words.nbytes, peak

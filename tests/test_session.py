@@ -99,6 +99,16 @@ class TestSession:
         assert not trace.stats["insufficient_cancellation"]
         assert trace.warnings == ()
 
+    @pytest.mark.parametrize("w", [0, 14])
+    def test_sequences_are_read_only(self, headline_params, w):
+        point = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
+        trace = run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
+                                300, rng_seed=3)
+        for name in ("clean_signal", "jamming", "bob_noise", "eve_noise",
+                     "bob_rx", "eve_rx", "bob_post", "eve_stored", "eve_post"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 1.0
+
     def test_explicit_jamming_seed_controls_stream(self, headline_params):
         key = KeyMaterial.random(seed=1)
         seed = KeyMaterial.random(seed=99)
