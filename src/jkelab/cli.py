@@ -35,14 +35,12 @@ EXIT_INFEASIBLE = 3
 SWEEP_KINDS = ("fig3a", "fig3b")
 
 # Default axes are plot-scale estimates, fully overridable in the config.
-_DEFAULT_RATE_AXES = {
-    "bob_snr_db": {"min": 0.0, "max": 60.0, "step": 2.0},
-    "eve_snr_db": {"min": 0.0, "max": 80.0, "step": 2.0},
-}
-_DEFAULT_THRESHOLD_AXES = {
-    "jamming_bits": {"min": 1, "max": 20, "step": 1},
-    "eve_jitter_s": {"min": 1e-15, "max": 500e-15, "points": 25,
-                     "spacing": "log"},
+_DEFAULT_AXES = {
+    "fig3a": {"bob_snr_db": {"min": 0.0, "max": 60.0, "step": 2.0},
+              "eve_snr_db": {"min": 0.0, "max": 80.0, "step": 2.0}},
+    "fig3b": {"jamming_bits": {"min": 1, "max": 20, "step": 1},
+              "eve_jitter_s": {"min": 1e-15, "max": 500e-15, "points": 25,
+                               "spacing": "log"}},
 }
 
 
@@ -70,7 +68,8 @@ def cmd_analyze(args) -> int:
     params = cfg.parse_system(config)
     _validate_for_analysis(params)
     key_bits = cfg.require_integer(config.get("key_bits", 256), "key_bits")
-    efficiency = float(config.get("efficiency", 0.001))
+    efficiency = cfg.require_number(config.get("efficiency", 0.001),
+                                    "efficiency")
 
     report = secrecy_rate(params)
     timing = None
@@ -124,36 +123,29 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     config.setdefault("sweep", {})["which"] = which
     _write_effective_config(out, config)
-    sidecar = {"which": which, "system": cfg.system_to_dict(params)}
-
+    axes = {name: cfg.parse_axis(sweep_block.get(name, default),
+                                 f"sweep.{name}")
+            for name, default in _DEFAULT_AXES[which].items()}
     if which == "fig3a":
-        axes = {name: cfg.parse_axis(sweep_block.get(name, default),
-                                     f"sweep.{name}")
-                for name, default in _DEFAULT_RATE_AXES.items()}
         grid = sweep_rate_vs_snr(params, axes["bob_snr_db"], axes["eve_snr_db"])
-        sidecar["axes"] = axes
         if args.format == "json":
             output.write_json(out / "grid.json", output.rate_grid_to_dict(grid))
         else:
             output.write_rate_grid_csv(grid, out / "grid.csv")
             output.write_rate_contour_csv(grid, out / "zero_crossing.csv")
     else:
-        axes = {name: cfg.parse_axis(sweep_block.get(name, default),
-                                     f"sweep.{name}")
-                for name, default in _DEFAULT_THRESHOLD_AXES.items()}
-        w_axis = [cfg.require_integer(w, "sweep.jamming_bits")
-                  for w in axes["jamming_bits"]]
-        grid = sweep_min_bob_snr(params, w_axis, axes["eve_jitter_s"])
-        sidecar["axes"] = {"jamming_bits": w_axis,
-                           "eve_jitter_s": axes["eve_jitter_s"]}
+        axes["jamming_bits"] = [cfg.require_integer(w, "sweep.jamming_bits")
+                                for w in axes["jamming_bits"]]
+        grid = sweep_min_bob_snr(params, axes["jamming_bits"],
+                                 axes["eve_jitter_s"])
         if args.format == "json":
             output.write_json(out / "grid.json",
                               output.threshold_grid_to_dict(grid))
         else:
             output.write_threshold_grid_csv(grid, out / "grid.csv")
-    output.write_json(out / "sweep.json", sidecar)
-    n_cells = len(next(iter(axes.values()))) * len(list(axes.values())[1])
-    print(f"swept {which}: {n_cells} cells -> {out}")
+    output.write_json(out / "sweep.json", {
+        "which": which, "system": cfg.system_to_dict(params), "axes": axes})
+    print(f"swept {which}: {math.prod(map(len, axes.values()))} cells -> {out}")
     return EXIT_OK
 
 
@@ -177,11 +169,18 @@ def cmd_simulate(args) -> int:
     seed = (args.seed if args.seed is not None
             else cfg.require_integer(sim.get("seed", 0), "simulate.seed"))
     depth = sim.get("cancellation_db", "inf")
-    cancel = CancellationModel(math.inf if depth == "inf" else float(depth))
+    if depth != "inf":
+        depth = cfg.require_number(depth, "simulate.cancellation_db")
+    cancel = CancellationModel(math.inf if depth == "inf" else depth)
     kem_mode, kem_bits = _parse_kem_block(sim.get("kem", {}))
     key_bits = cfg.require_integer(
         sim.get("key_bits", config.get("key_bits", 256)), "key_bits")
+    if key_bits % 8:
+        raise ValidationError(
+            f"key_bits must be a multiple of 8, got {key_bits}")
     jam_scale = sim.get("jam_scale")
+    if jam_scale is not None:
+        jam_scale = cfg.require_number(jam_scale, "simulate.jam_scale")
 
     # Fold the effective seed back in so a rerun from the written config
     # reproduces the outputs byte-identically.
@@ -207,13 +206,12 @@ def cmd_simulate(args) -> int:
 
     trace = run_jke_session(params, cancel, k_l, n_symbols,
                             int(stage[3].generate_state(1)[0]),
-                            jamming_seed=k_ab_rx,
-                            jam_scale=None if jam_scale is None else float(jam_scale))
+                            jamming_seed=k_ab_rx, jam_scale=jam_scale)
     stats = {
         "session": trace.stats,
         "kem": kem_info,
         "warnings": list(trace.warnings),
-        "cancellation_db": depth if depth == "inf" else float(depth),
+        "cancellation_db": depth,
         "seed": seed,
     }
     if params.jamming_bits_per_symbol > 0:
@@ -238,8 +236,8 @@ def cmd_race(args) -> int:
     out = _outdir(args)
     _write_effective_config(out, config)
     try:
-        timing = jke_duration(report, key_bits,
-                              float(config.get("efficiency", 0.001)))
+        timing = jke_duration(report, key_bits, cfg.require_number(
+            config.get("efficiency", 0.001), "efficiency"))
     except NoPositiveSecrecyError as exc:
         output.write_json(out / "race.json", {
             "system": cfg.system_to_dict(params),
@@ -276,7 +274,8 @@ def _parse_attacker(block: dict) -> race.AttackerTimeModel:
     if "t_qc_s" in block or "name" in block:
         return race.AttackerTimeModel(
             name=str(block.get("name", "custom")),
-            t_qc_s=None if block.get("t_qc_s") is None else float(block["t_qc_s"]),
+            t_qc_s=None if block.get("t_qc_s") is None else cfg.require_number(
+                block["t_qc_s"], "race.attacker.t_qc_s"),
             note=str(block.get("note", "")))
     raise ValidationError(
         "race.attacker must name a preset or define a custom time model")
@@ -286,10 +285,11 @@ def _parse_trend(block) -> race.JitterTrend:
     if block is None:
         return race.DEFAULT_TREND
     cfg.require_object(block, "race.trend")
-    return race.JitterTrend(
-        reference_year=float(block.get("reference_year", 2024)),
-        reference_jitter_s=float(block.get("reference_jitter_s", 50e-15)),
-        doubling_period_years=float(block.get("doubling_period_years", 4.57)))
+    return race.JitterTrend(**{
+        key: cfg.require_number(block.get(key, default), f"race.trend.{key}")
+        for key, default in (("reference_year", 2024),
+                             ("reference_jitter_s", 50e-15),
+                             ("doubling_period_years", 4.57))})
 
 
 def _trend_annotation(trend: race.JitterTrend, params: SystemParams) -> dict:

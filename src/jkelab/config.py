@@ -24,14 +24,18 @@ Schema (analyze):
     }
 
 sweep adds:  {"sweep": {"which": "fig3a"|"fig3b", <axis blocks>}}
-    axis block: {"values": [...]} or {"min", "max", "step"} or
-    {"min", "max", "points", "spacing": "linear"|"log"}
+    axis block: {"values": [...]} or {"min", "max", "step"} (linear) or
+    {"min", "max", "points", "spacing": "log"}
 simulate adds: {"simulate": {"n_symbols", "seed", "cancellation_db",
     "kem": {"mode": "toy-rsa", "bit_length": 64} | {"mode": "passthrough"},
     "jam_scale": <optional>}}
 race adds: {"race": {"attacker": {"preset": <name>, "cores": <opt>} |
     {"name", "t_qc_s", "note"}, "trend": {"reference_year",
     "reference_jitter_s", "doubling_period_years"}}}
+
+Every number is a finite JSON number: ``true``, ``"32"``, ``null`` and
+``1e400`` are rejected, except the ``"inf"`` of ``snr_db`` and
+``cancellation_db`` and the ``null`` of ``explicit_bits`` and ``t_qc_s``.
 """
 
 from __future__ import annotations
@@ -92,6 +96,26 @@ def require_integer(value, context: str) -> int:
     return int(value)
 
 
+def require_number(value, context: str) -> float:
+    """A finite JSON number (``32`` or ``32.5``) as a float; ``true``,
+    ``"32"``, ``null``, a container or ``1e400`` is rejected rather than
+    coerced."""
+    number = _number(value, context)
+    if not math.isfinite(number):
+        raise ValidationError(f"{context} must be finite, got {value!r}")
+    return number
+
+
+def _number(value, context: str) -> float:
+    """Any JSON number as a float, with ``1e400`` as inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{context} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return math.copysign(math.inf, value)
+
+
 def _require(block: dict, key: str, context: str):
     if key not in block:
         raise ValidationError(f"config missing required key {context}.{key}")
@@ -103,31 +127,40 @@ def _parse_channel(block, signal_power: float, context: str) -> float:
         raise ValidationError(
             f"{context} must set exactly one of 'snr_db' or 'noise_var'")
     if "noise_var" in block:
-        return float(block["noise_var"])
+        return require_number(block["noise_var"], f"{context}.noise_var")
     snr_db = block["snr_db"]
     if snr_db == "inf":
         return snr_to_noise_var(SnrPoint.infinite(), signal_power)
-    return snr_to_noise_var(SnrPoint(float(snr_db)), signal_power)
+    return snr_to_noise_var(
+        SnrPoint(require_number(snr_db, f"{context}.snr_db")), signal_power)
 
 
 def _parse_adc(block, context: str) -> AdcSpec:
     require_object(block, context)
     explicit = block.get("explicit_bits")
     return AdcSpec(
-        aperture_jitter_s=float(_require(block, "aperture_jitter_s", context)),
-        explicit_bits=None if explicit is None else float(explicit))
+        aperture_jitter_s=require_number(
+            _require(block, "aperture_jitter_s", context),
+            f"{context}.aperture_jitter_s"),
+        explicit_bits=None if explicit is None else require_number(
+            explicit, f"{context}.explicit_bits"))
 
 
 def parse_system(config: dict) -> SystemParams:
     sys_block = require_object(_require(config, "system", "<root>"), "system")
-    signal_power = float(sys_block.get("signal_power", 1.0))
+    # validate() names a non-finite bandwidth, signal power or dynamic
+    # range factor, so these three may parse to inf.
+    signal_power = _number(sys_block.get("signal_power", 1.0),
+                           "system.signal_power")
     return SystemParams(
-        bandwidth_hz=float(_require(sys_block, "bandwidth_hz", "system")),
+        bandwidth_hz=_number(_require(sys_block, "bandwidth_hz", "system"),
+                             "system.bandwidth_hz"),
         signal_power=signal_power,
         jamming_bits_per_symbol=require_integer(
             _require(sys_block, "jamming_bits_per_symbol", "system"),
             "system.jamming_bits_per_symbol"),
-        dynamic_range_factor=float(sys_block.get("dynamic_range_factor", 2.5)),
+        dynamic_range_factor=_number(sys_block.get("dynamic_range_factor", 2.5),
+                                     "system.dynamic_range_factor"),
         bob_adc=_parse_adc(_require(sys_block, "bob_adc", "system"),
                            "system.bob_adc"),
         eve_adc=_parse_adc(_require(sys_block, "eve_adc", "system"),
@@ -172,12 +205,18 @@ def parse_axis(block, context: str) -> list:
     log-spaced min/max/points range; always strictly increasing."""
     require_object(block, context)
     if "values" in block:
-        return [float(v) for v in block["values"]]
-    lo = float(_require(block, "min", context))
-    hi = float(_require(block, "max", context))
+        if not isinstance(block["values"], list):
+            raise ValidationError(f"{context}.values must be a list")
+        return [require_number(v, f"{context}.values") for v in block["values"]]
+    lo = require_number(_require(block, "min", context), f"{context}.min")
+    hi = require_number(_require(block, "max", context), f"{context}.max")
     if hi < lo:
         raise ValidationError(f"{context}: max must be >= min")
-    if block.get("spacing", "linear") == "log":
+    spacing = block.get("spacing", "linear")
+    if spacing not in ("linear", "log"):
+        raise ValidationError(
+            f"{context}.spacing must be 'linear' or 'log', got {spacing!r}")
+    if spacing == "log":
         points = require_integer(_require(block, "points", context),
                                  f"{context}.points")
         if points < 1 or lo <= 0:
@@ -186,7 +225,7 @@ def parse_axis(block, context: str) -> list:
             return [lo]
         ratio = (hi / lo) ** (1.0 / (points - 1))
         return [lo * ratio ** i for i in range(points)]
-    step = float(_require(block, "step", context))
+    step = require_number(_require(block, "step", context), f"{context}.step")
     if not step > 0:
         raise ValidationError(f"{context}: step must be positive")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1

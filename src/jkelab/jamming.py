@@ -11,6 +11,7 @@ bit decorrelates the whole stream.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ def jamming_stream(seed: KeyMaterial, bits_per_symbol: int, n_symbols: int,
             f"unsupported jamming resolution: w > {MAX_BITS_PER_SYMBOL}")
     if not n_symbols >= 1:
         raise ValueError("symbol count must be at least 1")
-    if not jam_scale > 0:
-        raise ValueError("jamming scale must be positive")
+    if not 0 < jam_scale < math.inf:
+        raise ValueError("jamming scale must be positive and finite")
 
     xof = hashlib.shake_256(_DOMAIN + bytes([w]) + seed.bits)
     raw = xof.digest((n_symbols * w + 7) // 8)

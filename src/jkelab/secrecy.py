@@ -14,12 +14,11 @@ implemented exactly as stated, not "corrected".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import adc
-from .params import (AdcSpec, SnrPoint, SystemParams, ValidationError,
-                     snr_to_noise_var)
+from .params import SnrPoint, SystemParams, ValidationError, snr_to_noise_var
 
 
 class NoPositiveSecrecyError(ValueError):
@@ -74,6 +73,15 @@ class JkeTiming:
         }
 
 
+def _eve_ratio(p: float, eve_noise_var: float, delta_e: float) -> float:
+    """The eavesdropper's ratio K; log2(K) is its term of the bound."""
+    eve_floor = eve_noise_var + delta_e ** 2 / adc.TWO_PI_E
+    if eve_floor == 0:
+        raise ValidationError(
+            "eve noise variance and quantization step cannot both be zero")
+    return (p + eve_noise_var + delta_e ** 2 / 12.0) / eve_floor
+
+
 def secrecy_rate(params: SystemParams) -> SecrecyReport:
     """Evaluate the secrecy-rate lower bound at ``params``.
 
@@ -94,14 +102,8 @@ def secrecy_rate(params: SystemParams) -> SecrecyReport:
     if bob_floor == 0:
         raise ValidationError(
             "bob noise variance and quantization step cannot both be zero")
-    eve_floor = params.eve_noise_var + delta_e ** 2 / adc.TWO_PI_E
-    if eve_floor == 0:
-        raise ValidationError(
-            "eve noise variance and quantization step cannot both be zero")
-
     bob_term = math.log2((p + bob_floor) / bob_floor)
-    eve_term = math.log2((p + params.eve_noise_var + delta_e ** 2 / 12.0)
-                         / eve_floor)
+    eve_term = math.log2(_eve_ratio(p, params.eve_noise_var, delta_e))
     rate = params.bandwidth_hz * (bob_term - eve_term)
     return SecrecyReport(params.bandwidth_hz, rate, bob_term, eve_term,
                          delta_b, delta_e)
@@ -158,11 +160,12 @@ def min_bob_snr_for_positive_rs(params: SystemParams) -> SnrThreshold:
     delta_b = adc.bob_resolution(p, params.bob_bits(), l)
     delta_e = adc.eve_resolution(p, params.eve_bits(),
                                  params.jamming_bits_per_symbol, l)
-    eve_floor = params.eve_noise_var + delta_e ** 2 / adc.TWO_PI_E
-    if eve_floor == 0:
-        raise ValidationError(
-            "eve noise variance and quantization step cannot both be zero")
-    big_k = (p + params.eve_noise_var + delta_e ** 2 / 12.0) / eve_floor
+    return _threshold(p, delta_b, delta_e, params.eve_noise_var)
+
+
+def _threshold(p: float, delta_b: float, delta_e: float,
+               eve_noise_var: float) -> SnrThreshold:
+    big_k = _eve_ratio(p, eve_noise_var, delta_e)
     if big_k <= 1:
         return SnrThreshold(ThresholdKind.ALWAYS_POSITIVE)
     noise_budget = p / (big_k - 1.0)
@@ -207,27 +210,34 @@ class ThresholdSweepGrid:
 
 
 def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSweepGrid:
-    """Evaluate the secrecy rate over a rectangular SNR grid.
-
-    Cells are independent pure computations with deterministic ordering
-    (legitimate-SNR index outer, eavesdropper-SNR index inner).
-    """
+    """Evaluate the secrecy rate over a rectangular SNR grid, legitimate-SNR
+    index outer. Only the noise varies, so each log term is evaluated once
+    per axis point (first row, then first column: the order a per-cell loop
+    meets them) and each cell combines them as :func:`secrecy_rate` does."""
     bob_axis = _check_axis("bob SNR", bob_snr_db)
     eve_axis = _check_axis("eve SNR", eve_snr_db)
     p = template.signal_power
-    rows = []
-    for sb in bob_axis:
-        row = []
-        params_b = template.with_bob_noise_var(snr_to_noise_var(SnrPoint(sb), p))
-        for se in eve_axis:
-            row.append(secrecy_rate(
-                params_b.with_eve_noise_var(snr_to_noise_var(SnrPoint(se), p))))
-        rows.append(tuple(row))
+
+    def noise(snr_db):
+        return snr_to_noise_var(SnrPoint(snr_db), p)
+
+    first_row = template.with_bob_noise_var(noise(bob_axis[0]))
+    eve_reports = [secrecy_rate(first_row.with_eve_noise_var(noise(se)))
+                   for se in eve_axis]
+    first_col = template.with_eve_noise_var(noise(eve_axis[0]))
+    bob_reports = eve_reports[:1] + [
+        secrecy_rate(first_col.with_bob_noise_var(noise(sb)))
+        for sb in bob_axis[1:]]
+    rows = tuple(
+        tuple(SecrecyReport(b.bandwidth_hz,
+                            b.bandwidth_hz * (b.bob_term_bits - e.eve_term_bits),
+                            b.bob_term_bits, e.eve_term_bits, b.delta_b, e.delta_e)
+              for e in eve_reports)
+        for b in bob_reports)
     crossings = tuple(
-        _zero_crossing(bob_axis, [rows[i][j].rate_bits_per_s
-                                  for i in range(len(bob_axis))])
-        for j in range(len(eve_axis)))
-    return RateSweepGrid(bob_axis, eve_axis, tuple(rows), crossings)
+        _zero_crossing(bob_axis, [cell.rate_bits_per_s for cell in column])
+        for column in zip(*rows))
+    return RateSweepGrid(bob_axis, eve_axis, rows, crossings)
 
 
 def _zero_crossing(snr_values, rates):
@@ -258,15 +268,14 @@ def sweep_min_bob_snr(template: SystemParams, jamming_bits, eve_jitter_s) -> Thr
     if any(v <= 0 for v in jitter_axis):
         raise ValidationError("eve jitter axis values must be positive")
 
-    base = template.with_eve_noise_var(0.0)
-    rows = []
-    for w in w_axis:
-        row = []
-        for jitter in jitter_axis:
-            # Fresh AdcSpec: an explicit-bits override on the template's
-            # eavesdropper ADC must not pin the whole jitter axis.
-            point = replace(base, jamming_bits_per_symbol=w,
-                            eve_adc=AdcSpec(aperture_jitter_s=jitter))
-            row.append(min_bob_snr_for_positive_rs(point))
-        rows.append(tuple(row))
-    return ThresholdSweepGrid(w_axis, jitter_axis, tuple(rows))
+    p, l = template.signal_power, template.dynamic_range_factor
+    delta_b = adc.bob_resolution(p, template.bob_bits(), l)
+    # ENOB from the jitter alone: an explicit-bits override on the
+    # template's eavesdropper ADC must not pin the whole jitter axis.
+    eve_bits = [adc.enob_from_jitter(template.bandwidth_hz, jitter)
+                for jitter in jitter_axis]
+    rows = tuple(
+        tuple(_threshold(p, delta_b, adc.eve_resolution(p, bits, w, l), 0.0)
+              for bits in eve_bits)
+        for w in w_axis)
+    return ThresholdSweepGrid(w_axis, jitter_axis, rows)

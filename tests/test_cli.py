@@ -349,3 +349,103 @@ class TestConfigValidation:
         out = tmp_path / "sim"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert read_json(out / "stats.json")["session"]["n_symbols"] == 300
+
+
+def _patched(payload, path, value):
+    """``payload`` with the value at the dotted ``path`` replaced."""
+    payload = json.loads(json.dumps(payload))
+    *parents, key = path.split(".")
+    block = payload
+    for name in parents:
+        block = block.setdefault(name, {})
+    block[key] = value
+    return payload
+
+
+RACE_BLOCK = {"attacker": {"name": "custom", "t_qc_s": 3600.0},
+              "trend": {"reference_year": 2024, "reference_jitter_s": 50e-15,
+                        "doubling_period_years": 4.57}}
+SWEEP_BLOCK = {"which": "fig3a",
+               "bob_snr_db": {"values": [30.0, 32.0]},
+               "eve_snr_db": {"min": 70.0, "max": 80.0, "step": 5.0}}
+INF = float("inf")
+
+
+class TestConfigNumbers:
+    """Every numeric config value is a finite JSON number; anything else is
+    a named validation error, never a traceback, a coercion or a
+    non-finite output."""
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("analyze", "efficiency", None, "efficiency must be a number, got None"),
+        ("analyze", "efficiency", [0.001], "efficiency must be a number"),
+        ("analyze", "efficiency", {}, "efficiency must be a number"),
+        ("analyze", "efficiency", True, "efficiency must be a number, got True"),
+        ("analyze", "system.signal_power", None,
+         "system.signal_power must be a number"),
+        ("analyze", "system.bob_channel.snr_db", [32.0],
+         "system.bob_channel.snr_db must be a number"),
+        ("analyze", "system.bob_channel.snr_db", "32",
+         "system.bob_channel.snr_db must be a number, got '32'"),
+        ("analyze", "system.eve_channel", {"noise_var": INF},
+         "system.eve_channel.noise_var must be finite"),
+        ("analyze", "system.bob_adc.aperture_jitter_s", INF,
+         "system.bob_adc.aperture_jitter_s must be finite"),
+        ("analyze", "system.bob_adc.explicit_bits", {},
+         "system.bob_adc.explicit_bits must be a number"),
+        ("simulate", "simulate.cancellation_db", None,
+         "simulate.cancellation_db must be a number"),
+        ("simulate", "simulate.cancellation_db", True,
+         "simulate.cancellation_db must be a number, got True"),
+        ("simulate", "simulate.cancellation_db", INF,
+         "simulate.cancellation_db must be finite"),
+        ("simulate", "simulate.jam_scale", INF,
+         "simulate.jam_scale must be finite"),
+        ("race", "race.attacker.t_qc_s", [], "race.attacker.t_qc_s must be a number"),
+        ("race", "race.attacker.t_qc_s", INF, "race.attacker.t_qc_s must be finite"),
+        ("race", "race.trend.reference_year", None,
+         "race.trend.reference_year must be a number"),
+        ("race", "race.trend.doubling_period_years", INF,
+         "race.trend.doubling_period_years must be finite"),
+        ("sweep", "sweep.bob_snr_db.values", [None],
+         "sweep.bob_snr_db.values must be a number, got None"),
+        ("sweep", "sweep.bob_snr_db.values", 3,
+         "sweep.bob_snr_db.values must be a list"),
+        ("sweep", "sweep.eve_snr_db.spacing", "lin",
+         "sweep.eve_snr_db.spacing must be 'linear' or 'log', got 'lin'"),
+        ("simulate", "simulate.key_bits", 138,
+         "key_bits must be a multiple of 8, got 138"),
+    ], ids=["efficiency-null", "efficiency-list", "efficiency-object",
+            "efficiency-true", "signal-power-null", "snr-db-list",
+            "snr-db-string", "noise-var-inf", "jitter-inf",
+            "explicit-bits-object", "cancellation-null", "cancellation-true",
+            "cancellation-inf", "jam-scale-inf", "t-qc-list", "t-qc-inf",
+            "reference-year-null", "doubling-period-inf", "values-null",
+            "values-number", "spacing-unknown", "key-bits-not-bytes"])
+    def test_named_validation_error(self, tmp_path, capsys, command, path,
+                                    value, message):
+        payload = _patched({"system": HEADLINE_SYSTEM,
+                            "simulate": SIM_BLOCK | {"n_symbols": 500},
+                            "race": RACE_BLOCK, "sweep": SWEEP_BLOCK},
+                           path, value)
+        config = tmp_path / "config.json"
+        # json.dumps writes inf as Infinity; 1e400 is how a JSON file
+        # spells a number that overflows to inf
+        config.write_text(json.dumps(payload).replace("Infinity", "1e400"),
+                          encoding="utf-8")
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_documented_non_numbers_accepted(self, tmp_path):
+        system = HEADLINE_SYSTEM | {
+            "bob_adc": {"aperture_jitter_s": 500e-15, "explicit_bits": None},
+            "eve_channel": {"snr_db": "inf"}}
+        race_block = RACE_BLOCK | {"attacker": {"name": "unknown",
+                                                "t_qc_s": None}}
+        cfg = write_config(tmp_path, {"system": system, "race": race_block})
+        out = tmp_path / "race"
+        assert main(["race", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert read_json(out / "race.json")["race"]["verdict"] == "unknown"

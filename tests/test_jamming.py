@@ -51,6 +51,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             jamming_stream(seed, 8, 10, 0.0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="positive and finite"):
+            jamming_stream(KeyMaterial.random(seed=1), 8, 10, scale)
+
     def test_symbols_are_read_only(self):
         stream = jamming_stream(KeyMaterial.random(seed=1), 8, 10, 1.0)
         with pytest.raises(ValueError):

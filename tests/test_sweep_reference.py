@@ -1,0 +1,140 @@
+"""Whole sweep grids against the per-cell reference.
+
+The sweep drivers evaluate each log term once per axis point; the
+reference below is the per-cell form they replaced: one ``SystemParams``
+per cell (and a fresh eavesdropper ``AdcSpec`` per fig3b cell) passed to
+``secrecy_rate`` or ``min_bob_snr_for_positive_rs``. Every cell must have
+the same ``repr``, so a moved bit, a -0.0 for a 0.0 or an int for a float
+fails, and the zero-rate crossings must be the same too.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from jkelab import config as cfg
+from jkelab.params import AdcSpec, SnrPoint, SystemParams, snr_to_noise_var
+from jkelab.secrecy import (min_bob_snr_for_positive_rs, secrecy_rate,
+                            sweep_min_bob_snr, sweep_rate_vs_snr)
+
+
+def reference_zero_crossing(snr_values, rates):
+    for k, r in enumerate(rates):
+        if r > 0:
+            if k == 0:
+                return snr_values[0]
+            r_prev = rates[k - 1]
+            return snr_values[k - 1] + (snr_values[k] - snr_values[k - 1]) * (
+                -r_prev) / (r - r_prev)
+    return None
+
+
+def reference_rate_grid(template, bob_axis, eve_axis):
+    p = template.signal_power
+    rows = []
+    for sb in bob_axis:
+        params_b = template.with_bob_noise_var(snr_to_noise_var(SnrPoint(sb), p))
+        rows.append(tuple(
+            secrecy_rate(params_b.with_eve_noise_var(
+                snr_to_noise_var(SnrPoint(se), p)))
+            for se in eve_axis))
+    crossings = tuple(
+        reference_zero_crossing(bob_axis, [rows[i][j].rate_bits_per_s
+                                           for i in range(len(bob_axis))])
+        for j in range(len(eve_axis)))
+    return tuple(rows), crossings
+
+
+def reference_threshold_grid(template, w_axis, jitter_axis):
+    base = template.with_eve_noise_var(0.0)
+    return tuple(
+        tuple(min_bob_snr_for_positive_rs(
+            replace(base, jamming_bits_per_symbol=w,
+                    eve_adc=AdcSpec(aperture_jitter_s=jitter)))
+              for jitter in jitter_axis)
+        for w in w_axis)
+
+
+def assert_same_cells(cells, expected):
+    assert len(cells) == len(expected)
+    for i, (row, ref_row) in enumerate(zip(cells, expected)):
+        assert repr(row) == repr(ref_row), f"row {i} differs"
+
+
+def check_rate_sweep(template, bob_axis, eve_axis):
+    grid = sweep_rate_vs_snr(template, bob_axis, eve_axis)
+    cells, crossings = reference_rate_grid(template, bob_axis, eve_axis)
+    assert_same_cells(grid.cells, cells)
+    assert repr(grid.zero_crossing_bob_snr_db) == repr(crossings)
+    return grid
+
+
+def check_threshold_sweep(template, w_axis, jitter_axis):
+    grid = sweep_min_bob_snr(template, w_axis, jitter_axis)
+    assert_same_cells(grid.cells, reference_threshold_grid(
+        template, w_axis, jitter_axis))
+    return grid
+
+
+def linear(lo, hi, step):
+    return cfg.parse_axis({"min": lo, "max": hi, "step": step}, "axis")
+
+
+def log(lo, hi, points):
+    return cfg.parse_axis({"min": lo, "max": hi, "points": points,
+                           "spacing": "log"}, "axis")
+
+
+def shipped(name):
+    config = cfg.load_config(name)
+    axes = [cfg.parse_axis(block, name)
+            for key, block in config["sweep"].items() if key != "which"]
+    return cfg.parse_system(config), axes
+
+
+def test_shipped_fig3a_axes():
+    template, (bob_axis, eve_axis) = shipped("fig3a")
+    grid = check_rate_sweep(template, bob_axis, eve_axis)
+    assert any(c is not None for c in grid.zero_crossing_bob_snr_db)
+
+
+def test_shipped_fig3b_axes():
+    template, (w_axis, jitter_axis) = shipped("fig3b")
+    check_threshold_sweep(template, [int(w) for w in w_axis], jitter_axis)
+
+
+@pytest.mark.parametrize("bandwidth_hz", [1e6, 2e9])
+def test_fig3a_explicit_bits_from_negative_snr(bandwidth_hz):
+    template = SystemParams(
+        bandwidth_hz=bandwidth_hz, jamming_bits_per_symbol=8,
+        bob_adc=AdcSpec(500e-15, explicit_bits=13.37),
+        eve_adc=AdcSpec(5e-15, explicit_bits=27.5),
+        bob_noise_var=0.0, eve_noise_var=0.0,
+        signal_power=7.5, dynamic_range_factor=4.0)
+    grid = check_rate_sweep(template, linear(-20.0, 100.0, 1.25),
+                            linear(-20.0, 120.0, 1.4))
+    rates = [cell.rate_bits_per_s for row in grid.cells for cell in row]
+    assert min(rates) < 0 < max(rates)
+
+
+def test_fig3b_ignores_eve_noise_and_explicit_bits():
+    template = SystemParams(
+        bandwidth_hz=40e6, jamming_bits_per_symbol=14,
+        bob_adc=AdcSpec(500e-15), eve_adc=AdcSpec(5e-15, explicit_bits=30.0),
+        bob_noise_var=1e-3, eve_noise_var=1e-8,
+        signal_power=0.3, dynamic_range_factor=1.0)
+    grid = check_threshold_sweep(template, list(range(41)),
+                                 log(1e-16, 5e-10, 150))
+    kinds = {cell.kind.value for row in grid.cells for cell in row}
+    assert kinds == {"threshold", "infeasible"}
+
+
+def test_zero_bandwidth_gives_zero_cells():
+    template = SystemParams(
+        bandwidth_hz=0.0, jamming_bits_per_symbol=14,
+        bob_adc=AdcSpec(500e-15), eve_adc=AdcSpec(5e-15),
+        bob_noise_var=0.0, eve_noise_var=0.0)
+    grid = check_rate_sweep(template, linear(-20.0, 60.0, 10.0),
+                            [0.0, 40.0, 80.0])
+    assert {cell.rate_bits_per_s for row in grid.cells for cell in row} == {0.0}
+    assert grid.zero_crossing_bob_snr_db == (None, None, None)
