@@ -85,21 +85,24 @@ class QuantizerConfig:
     @classmethod
     def for_signal(cls, signal_power: float, bits: float,
                    dynamic_range_factor: float) -> "QuantizerConfig":
-        """Legitimate-receiver quantizer: full scale l*sqrt(P)."""
-        full_scale = dynamic_range_factor * math.sqrt(signal_power)
-        return cls(step=2.0 * full_scale / 2.0 ** bits,
-                   full_scale=full_scale, bits=bits)
+        """Legitimate-receiver quantizer: full scale l*sqrt(P), step
+        :func:`bob_resolution`."""
+        return cls(step=bob_resolution(signal_power, bits, dynamic_range_factor),
+                   full_scale=dynamic_range_factor * math.sqrt(signal_power),
+                   bits=bits)
 
     @classmethod
     def for_jammed_signal(cls, signal_power: float, bits: float,
                           jamming_bits_per_symbol: int,
                           dynamic_range_factor: float) -> "QuantizerConfig":
         """Eavesdropper quantizer: full scale widened by 2^w to span the
-        jammed sum at the same step count."""
-        full_scale = (dynamic_range_factor * math.sqrt(signal_power)
-                      * 2.0 ** jamming_bits_per_symbol)
-        return cls(step=2.0 * full_scale / 2.0 ** bits,
-                   full_scale=full_scale, bits=bits)
+        jammed sum at the same step count; step :func:`eve_resolution`."""
+        return cls(step=eve_resolution(signal_power, bits,
+                                       jamming_bits_per_symbol,
+                                       dynamic_range_factor),
+                   full_scale=(dynamic_range_factor * math.sqrt(signal_power)
+                               * 2.0 ** jamming_bits_per_symbol),
+                   bits=bits)
 
 
 def quantize(samples, config: QuantizerConfig) -> np.ndarray:
@@ -107,7 +110,5 @@ def quantize(samples, config: QuantizerConfig) -> np.ndarray:
     over [-full_scale, +full_scale]; out-of-range inputs clip to the
     outermost reconstruction level. Empty input yields empty output.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        return np.empty(0, dtype=np.float64)
-    return kernels.quantize_midrise(np.ravel(x), config.step, config.full_scale)
+    return kernels.quantize_midrise(np.ravel(samples), config.step,
+                                    config.full_scale)

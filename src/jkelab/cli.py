@@ -59,25 +59,25 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_effective_config(out: Path, config: dict) -> None:
-    output.write_json(out / "config.json", config)
+def _exchange(config: dict, params: SystemParams) -> tuple:
+    """The secrecy report at ``params``, the exchange timing for the
+    config's ``key_bits`` and ``efficiency``, and the reason there is no
+    timing (``None`` when there is one)."""
+    key_bits = cfg.require_integer(config.get("key_bits", 256), "key_bits")
+    efficiency = cfg.require_number(config.get("efficiency", 0.001),
+                                    "efficiency")
+    report = secrecy_rate(params)
+    try:
+        return report, jke_duration(report, key_bits, efficiency), None
+    except NoPositiveSecrecyError as exc:
+        return report, None, str(exc)
 
 
 def cmd_analyze(args) -> int:
     config = cfg.load_config(args.config)
     params = cfg.parse_system(config)
     _validate_for_analysis(params)
-    key_bits = cfg.require_integer(config.get("key_bits", 256), "key_bits")
-    efficiency = cfg.require_number(config.get("efficiency", 0.001),
-                                    "efficiency")
-
-    report = secrecy_rate(params)
-    timing = None
-    timing_error = None
-    try:
-        timing = jke_duration(report, key_bits, efficiency)
-    except NoPositiveSecrecyError as exc:
-        timing_error = str(exc)
+    report, timing, timing_error = _exchange(config, params)
 
     payload = {
         "system": cfg.system_to_dict(params),
@@ -86,7 +86,7 @@ def cmd_analyze(args) -> int:
         "timing_error": timing_error,
     }
     out = _outdir(args)
-    _write_effective_config(out, config)
+    output.write_json(out / "config.json", config)
     if args.format == "csv":
         _write_flat_csv(out / "report.csv", payload["secrecy"]
                         | {"duration_s": timing.duration_s if timing else ""})
@@ -96,7 +96,7 @@ def cmd_analyze(args) -> int:
         print(f"secrecy rate {report.rate_bits_per_s:.6g} bit/s: {timing_error}")
         return EXIT_INFEASIBLE
     print(f"secrecy rate {report.rate_bits_per_s:.6g} bit/s, "
-          f"{key_bits}-bit key in {timing.duration_s * 1e3:.4g} ms "
+          f"{timing.key_bits}-bit key in {timing.duration_s * 1e3:.4g} ms "
           f"-> {out}")
     return EXIT_OK
 
@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
 
     out = _outdir(args)
     config.setdefault("sweep", {})["which"] = which
-    _write_effective_config(out, config)
+    output.write_json(out / "config.json", config)
     axes = {name: cfg.parse_axis(sweep_block.get(name, default),
                                  f"sweep.{name}")
             for name, default in _DEFAULT_AXES[which].items()}
@@ -186,7 +186,7 @@ def cmd_simulate(args) -> int:
     # reproduces the outputs byte-identically.
     config.setdefault("simulate", {})["seed"] = seed
     out = _outdir(args)
-    _write_effective_config(out, config)
+    output.write_json(out / "config.json", config)
 
     # Deterministic per-stage seeds from the one user seed.
     stage = np.random.SeedSequence(seed).spawn(4)
@@ -230,21 +230,17 @@ def cmd_race(args) -> int:
     race_block = cfg.require_object(config.get("race", {}), "race")
     attacker = _parse_attacker(race_block.get("attacker", {}))
     trend = _parse_trend(race_block.get("trend"))
-    key_bits = cfg.require_integer(config.get("key_bits", 256), "key_bits")
+    report, timing, timing_error = _exchange(config, params)
 
-    report = secrecy_rate(params)
     out = _outdir(args)
-    _write_effective_config(out, config)
-    try:
-        timing = jke_duration(report, key_bits, cfg.require_number(
-            config.get("efficiency", 0.001), "efficiency"))
-    except NoPositiveSecrecyError as exc:
+    output.write_json(out / "config.json", config)
+    if timing is None:
         output.write_json(out / "race.json", {
             "system": cfg.system_to_dict(params),
-            "error": str(exc),
+            "error": timing_error,
             "secrecy": report.to_dict(),
         })
-        print(f"race undecidable: {exc}")
+        print(f"race undecidable: {timing_error}")
         return EXIT_INFEASIBLE
 
     scenario = race.race_verdict(timing.duration_s, attacker)
@@ -267,16 +263,20 @@ def _parse_attacker(block: dict) -> race.AttackerTimeModel:
     cfg.require_object(block, "race.attacker")
     if "preset" in block:
         try:
-            return race.get_preset(block["preset"], cores=cfg.require_integer(
-                block.get("cores", 1), "race.attacker.cores"))
+            return race.get_preset(
+                cfg.require_string(block["preset"], "race.attacker.preset"),
+                cores=cfg.require_integer(block.get("cores", 1),
+                                          "race.attacker.cores"))
         except KeyError as exc:
             raise ValidationError(str(exc)) from exc
     if "t_qc_s" in block or "name" in block:
         return race.AttackerTimeModel(
-            name=str(block.get("name", "custom")),
+            name=cfg.require_string(block.get("name", "custom"),
+                                    "race.attacker.name"),
             t_qc_s=None if block.get("t_qc_s") is None else cfg.require_number(
                 block["t_qc_s"], "race.attacker.t_qc_s"),
-            note=str(block.get("note", "")))
+            note=cfg.require_string(block.get("note", ""),
+                                    "race.attacker.note"))
     raise ValidationError(
         "race.attacker must name a preset or define a custom time model")
 
@@ -287,9 +287,7 @@ def _parse_trend(block) -> race.JitterTrend:
     cfg.require_object(block, "race.trend")
     return race.JitterTrend(**{
         key: cfg.require_number(block.get(key, default), f"race.trend.{key}")
-        for key, default in (("reference_year", 2024),
-                             ("reference_jitter_s", 50e-15),
-                             ("doubling_period_years", 4.57))})
+        for key, default in vars(race.DEFAULT_TREND).items()})
 
 
 def _trend_annotation(trend: race.JitterTrend, params: SystemParams) -> dict:
@@ -363,13 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NoPositiveSecrecyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -106,6 +106,14 @@ def require_number(value, context: str) -> float:
     return number
 
 
+def require_string(value, context: str) -> str:
+    """A JSON string, as is; ``null``, a number or a container is rejected
+    rather than passed through ``str()``."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{context} must be a string, got {value!r}")
+    return value
+
+
 def _number(value, context: str) -> float:
     """Any JSON number as a float, with ``1e400`` as inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

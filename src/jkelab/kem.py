@@ -84,22 +84,6 @@ def _random_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
-def _invmod(a: int, m: int) -> int:
-    g, x = _egcd(a, m)[:2]
-    if g != 1:
-        raise ValueError("no modular inverse")
-    return x % m
-
-
-def _egcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def keygen(bit_length: int, rng_seed: int) -> KemKeyPair:
     """Generate a toy RSA pair with an exactly ``bit_length``-bit modulus.
     Deterministic for a given ``rng_seed``."""
@@ -119,10 +103,7 @@ def keygen(bit_length: int, rng_seed: int) -> KemKeyPair:
                   if cand < lam and math.gcd(cand, lam) == 1), None)
         if e is None:
             continue
-        n = p * q
-        return KemKeyPair(modulus=n, public_exponent=e,
-                          private_exponent=_invmod(e, lam),
-                          bit_length=n.bit_length(), p=p, q=q)
+        return keypair_from_primes(p, q, e)
 
 
 def keypair_from_primes(p: int, q: int, e: int) -> KemKeyPair:
@@ -134,7 +115,7 @@ def keypair_from_primes(p: int, q: int, e: int) -> KemKeyPair:
         raise ValueError("public exponent shares a factor with lcm(p-1, q-1)")
     n = p * q
     return KemKeyPair(modulus=n, public_exponent=e,
-                      private_exponent=_invmod(e, lam),
+                      private_exponent=pow(e, -1, lam),
                       bit_length=n.bit_length(), p=p, q=q)
 
 

@@ -69,12 +69,21 @@ class SnrPoint:
 
 def snr_to_noise_var(snr: SnrPoint, signal_power: float) -> float:
     """Noise variance realizing ``snr`` at the given signal power (0 when
-    the SNR is infinite)."""
-    if not signal_power > 0:
-        raise ValidationError("signal power must be positive")
+    the SNR is infinite). A finite SNR whose variance is not a positive
+    finite float is rejected, never rounded to 0 or inf."""
+    if not 0 < signal_power < math.inf:
+        raise ValidationError("signal power must be positive and finite")
     if snr.is_infinite:
         return 0.0
-    return signal_power / 10.0 ** (snr.snr_db / 10.0)
+    try:
+        noise_var = signal_power / 10.0 ** (snr.snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        noise_var = math.nan
+    if not 0 < noise_var < math.inf:
+        raise ValidationError(
+            f"SNR of {snr.snr_db!r} dB is out of range: its noise variance "
+            f"at signal power {signal_power!r} is not a positive finite float")
+    return noise_var
 
 
 def noise_var_to_snr(noise_var: float, signal_power: float) -> SnrPoint:
@@ -184,9 +193,4 @@ def validate(params: SystemParams) -> SystemParams:
         raise ValidationError("bob channel noise variance must be non-negative")
     if not params.eve_noise_var >= 0:
         raise ValidationError("eve channel noise variance must be non-negative")
-    # AdcSpec enforces its own invariants at construction; re-check cheaply
-    # in case instances were built through other paths.
-    for spec in (params.bob_adc, params.eve_adc):
-        if not spec.aperture_jitter_s > 0:
-            raise ValidationError("aperture jitter must be positive")
     return params

@@ -45,15 +45,7 @@ class SecrecyReport:
         return self.rate_bits_per_s > 0
 
     def to_dict(self) -> dict:
-        return {
-            "bandwidth_hz": self.bandwidth_hz,
-            "rate_bits_per_s": self.rate_bits_per_s,
-            "bob_term_bits": self.bob_term_bits,
-            "eve_term_bits": self.eve_term_bits,
-            "delta_b": self.delta_b,
-            "delta_e": self.delta_e,
-            "positive": self.positive,
-        }
+        return {**vars(self), "positive": self.positive}
 
 
 @dataclass(frozen=True)
@@ -66,11 +58,7 @@ class JkeTiming:
     duration_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "key_bits": self.key_bits,
-            "efficiency": self.efficiency,
-            "duration_s": self.duration_s,
-        }
+        return dict(vars(self))
 
 
 def _eve_ratio(p: float, eve_noise_var: float, delta_e: float) -> float:
@@ -80,6 +68,14 @@ def _eve_ratio(p: float, eve_noise_var: float, delta_e: float) -> float:
         raise ValidationError(
             "eve noise variance and quantization step cannot both be zero")
     return (p + eve_noise_var + delta_e ** 2 / 12.0) / eve_floor
+
+
+def _resolutions(params: SystemParams) -> tuple:
+    """(delta_b, delta_e): both receivers' quantization steps at ``params``."""
+    p, l = params.signal_power, params.dynamic_range_factor
+    return (adc.bob_resolution(p, params.bob_bits(), l),
+            adc.eve_resolution(p, params.eve_bits(),
+                               params.jamming_bits_per_symbol, l))
 
 
 def secrecy_rate(params: SystemParams) -> SecrecyReport:
@@ -93,10 +89,7 @@ def secrecy_rate(params: SystemParams) -> SecrecyReport:
         return SecrecyReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     p = params.signal_power
-    l = params.dynamic_range_factor
-    delta_b = adc.bob_resolution(p, params.bob_bits(), l)
-    delta_e = adc.eve_resolution(p, params.eve_bits(),
-                                 params.jamming_bits_per_symbol, l)
+    delta_b, delta_e = _resolutions(params)
 
     bob_floor = params.bob_noise_var + delta_b ** 2 / 12.0
     if bob_floor == 0:
@@ -155,12 +148,8 @@ def min_bob_snr_for_positive_rs(params: SystemParams) -> SnrThreshold:
     needs the legitimate total noise below P/(K-1); subtracting the fixed
     quantization share gives the admissible channel noise.
     """
-    p = params.signal_power
-    l = params.dynamic_range_factor
-    delta_b = adc.bob_resolution(p, params.bob_bits(), l)
-    delta_e = adc.eve_resolution(p, params.eve_bits(),
-                                 params.jamming_bits_per_symbol, l)
-    return _threshold(p, delta_b, delta_e, params.eve_noise_var)
+    return _threshold(params.signal_power, *_resolutions(params),
+                      params.eve_noise_var)
 
 
 def _threshold(p: float, delta_b: float, delta_e: float,

@@ -268,12 +268,7 @@ class EveAttackReport:
     post_attack_snr: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_symbols": self.n_symbols,
-            "residual_var": self.residual_var,
-            "pre_attack_snr": self.pre_attack_snr,
-            "post_attack_snr": self.post_attack_snr,
-        }
+        return dict(vars(self))
 
 
 def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackReport:

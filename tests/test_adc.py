@@ -110,6 +110,43 @@ class TestQuantizerConfig:
                 == QuantizerConfig.for_signal(1.0, 10.0, 2.5))
 
 
+class TestQuantizerStepsAreTheClosedForms:
+    """The simulator's quantizers use the analytic steps bit for bit, so a
+    Monte-Carlo run and the secrecy bound see the same delta_b and delta_e.
+    An independent 2*full_scale/2^bits rounds differently at about one
+    point in eight of this grid."""
+
+    # 300 log-spaced jitters from 1e-16 to 5e-10 s at three bandwidths,
+    # kept where the ENOB is positive, times w = 0..32: 28,380 points.
+    BANDWIDTHS = (1e6, 40e6, 2e9)
+    JITTERS = [1e-16 * (5e-10 / 1e-16) ** (i / 299) for i in range(300)]
+
+    def test_steps_equal_closed_forms_on_grid(self):
+        points = mismatched = 0
+        for bandwidth in self.BANDWIDTHS:
+            for jitter in self.JITTERS:
+                bits = enob_from_jitter(bandwidth, jitter)
+                if not bits > 0:
+                    continue
+                if (QuantizerConfig.for_signal(1.0, bits, 2.5).step
+                        != bob_resolution(1.0, bits, 2.5)):
+                    mismatched += 1
+                for w in range(33):
+                    points += 1
+                    if (QuantizerConfig.for_jammed_signal(1.0, bits, w, 2.5).step
+                            != eve_resolution(1.0, bits, w, 2.5)):
+                        mismatched += 1
+        assert points == 28_380
+        assert mismatched == 0
+
+    def test_example_point(self):
+        # B = 40 MHz, jitter 5.166166493326784e-11 s, w = 14: an independent
+        # 2*full_scale/2^bits gives 1302.0239291026726 here
+        bits = enob_from_jitter(40e6, 5.166166493326784e-11)
+        step = QuantizerConfig.for_jammed_signal(1.0, bits, 14, 2.5).step
+        assert step == eve_resolution(1.0, bits, 14, 2.5) == 1302.0239291026717
+
+
 class TestQuantize:
     Q = QuantizerConfig.for_signal(1.0, 4.0, 2.5)  # step 0.3125, 16 levels
 

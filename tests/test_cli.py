@@ -44,6 +44,12 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
+    def test_directory_as_config_is_io_error(self, tmp_path, capsys):
+        assert main(["analyze", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_malformed_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -415,13 +421,32 @@ class TestConfigNumbers:
          "sweep.eve_snr_db.spacing must be 'linear' or 'log', got 'lin'"),
         ("simulate", "simulate.key_bits", 138,
          "key_bits must be a multiple of 8, got 138"),
+        ("analyze", "system.bob_channel.snr_db", 4000.0,
+         "SNR of 4000.0 dB is out of range"),
+        ("analyze", "system.bob_channel.snr_db", -4000.0,
+         "SNR of -4000.0 dB is out of range"),
+        ("analyze", "system.bob_channel.snr_db", -3100.0,
+         "SNR of -3100.0 dB is out of range"),
+        ("sweep", "sweep.bob_snr_db.values", [4000.0],
+         "SNR of 4000.0 dB is out of range"),
+        ("sweep", "sweep.bob_snr_db.values", [-4000.0],
+         "SNR of -4000.0 dB is out of range"),
+        ("race", "race.attacker.name", None,
+         "race.attacker.name must be a string, got None"),
+        ("race", "race.attacker.note", ["x"],
+         "race.attacker.note must be a string, got ['x']"),
+        ("race", "race.attacker.preset", [],
+         "race.attacker.preset must be a string, got []"),
     ], ids=["efficiency-null", "efficiency-list", "efficiency-object",
             "efficiency-true", "signal-power-null", "snr-db-list",
             "snr-db-string", "noise-var-inf", "jitter-inf",
             "explicit-bits-object", "cancellation-null", "cancellation-true",
             "cancellation-inf", "jam-scale-inf", "t-qc-list", "t-qc-inf",
             "reference-year-null", "doubling-period-inf", "values-null",
-            "values-number", "spacing-unknown", "key-bits-not-bytes"])
+            "values-number", "spacing-unknown", "key-bits-not-bytes",
+            "snr-db-overflow", "snr-db-underflow", "snr-db-subnormal",
+            "sweep-snr-overflow", "sweep-snr-underflow", "attacker-name-null",
+            "attacker-note-list", "attacker-preset-list"])
     def test_named_validation_error(self, tmp_path, capsys, command, path,
                                     value, message):
         payload = _patched({"system": HEADLINE_SYSTEM,

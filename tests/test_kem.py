@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -36,6 +37,21 @@ class TestKeygen:
         assert pair.modulus == pair.p * pair.q
         lam = math.lcm(pair.p - 1, pair.q - 1)
         assert pair.public_exponent * pair.private_exponent % lam == 1
+
+    def test_pairs_pinned_by_digest(self):
+        # sha256 recorded before keygen delegated to keypair_from_primes
+        # and the extended Euclid was replaced by pow(e, -1, lam)
+        digest = hashlib.sha256()
+        for bits in (16, 17, 64, 255, 512):
+            for seed in range(40):
+                pair = keygen(bits, rng_seed=seed)
+                lam = math.lcm(pair.p - 1, pair.q - 1)
+                assert pair.public_exponent * pair.private_exponent % lam == 1
+                digest.update(repr((pair.modulus, pair.public_exponent,
+                                    pair.private_exponent, pair.bit_length,
+                                    pair.p, pair.q)).encode())
+        assert digest.hexdigest() == (
+            "16d80eb4d156cebaf374777d9e53c04a9e4f250a345b686bf5f8e7d359d9e511")
 
     @pytest.mark.parametrize("bits", [8, 15, 2049])
     def test_bit_length_range_enforced(self, bits):

@@ -75,6 +75,22 @@ class TestSnr:
         with pytest.raises(ValidationError):
             SnrPoint(float("inf"))
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0])
+    def test_out_of_float_range_rejected(self, snr_db):
+        # 10^400 overflows, 10^-400 underflows to 0, and 1 / 10^-310
+        # overflows to inf
+        with pytest.raises(ValidationError,
+                           match=f"SNR of {snr_db!r} dB is out of range"):
+            snr_to_noise_var(SnrPoint(snr_db), 1.0)
+
+    def test_zero_variance_from_finite_snr_rejected(self):
+        with pytest.raises(ValidationError, match="SNR of 300.0 dB"):
+            snr_to_noise_var(SnrPoint(300.0), 1e-300)
+
+    def test_infinite_signal_power_rejected(self):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            snr_to_noise_var(SnrPoint(32.0), float("inf"))
+
     @given(st.floats(min_value=-300, max_value=300),
            st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, snr_db, power):
