@@ -23,12 +23,34 @@ from .secrecy import (JkeTiming, NoPositiveSecrecyError, SecrecyReport,
                       SnrThreshold, ThresholdKind, jke_duration,
                       min_bob_snr_for_positive_rs, secrecy_rate,
                       sweep_min_bob_snr, sweep_rate_vs_snr)
-from .session import (CancellationModel, EveAttackReport, SimTrace,
-                      cancellation_bits, eve_storage_attack, run_jke_session,
-                      true_jamming_stream)
-from .jamming import JammingStream, jamming_stream
 
 __version__ = "0.1.0"
+
+# The Monte-Carlo names come from modules that load NumPy, which the
+# analytic commands never need, so they are imported on first access
+# (PEP 562) rather than here.
+_LAZY = {
+    "CancellationModel": "session", "EveAttackReport": "session",
+    "SimTrace": "session", "cancellation_bits": "session",
+    "eve_storage_attack": "session", "run_jke_session": "session",
+    "true_jamming_stream": "session",
+    "JammingStream": "jamming", "jamming_stream": "jamming",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AdcSpec", "AttackerTimeModel", "CancellationModel", "EveAttackReport",

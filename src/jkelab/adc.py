@@ -15,10 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
-
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
@@ -105,10 +101,15 @@ class QuantizerConfig:
                    bits=bits)
 
 
-def quantize(samples, config: QuantizerConfig) -> np.ndarray:
+def quantize(samples, config: QuantizerConfig):
     """Uniform mid-rise quantization of ``samples`` with step ``config.step``
     over [-full_scale, +full_scale]; out-of-range inputs clip to the
     outermost reconstruction level. Empty input yields empty output.
+    Returns a NumPy array; NumPy is imported here, not with the module,
+    so the closed forms above load without it.
     """
+    import numpy as np
+
+    from . import kernels
     return kernels.quantize_midrise(np.ravel(samples), config.step,
                                     config.full_scale)

@@ -15,14 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfg
 from . import kem, output, race
 from .params import KeyMaterial, SystemParams, ValidationError, validate
 from .secrecy import (NoPositiveSecrecyError, jke_duration, secrecy_rate,
                       sweep_min_bob_snr, sweep_rate_vs_snr)
-from .session import CancellationModel, eve_storage_attack, run_jke_session, true_jamming_stream
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -160,6 +157,12 @@ def _parse_kem_block(block: dict):
 
 
 def cmd_simulate(args) -> int:
+    # Only this command runs the Monte-Carlo session, so only it loads NumPy.
+    import numpy as np
+
+    from .session import (CancellationModel, eve_storage_attack,
+                          run_jke_session, true_jamming_stream)
+
     config = cfg.load_config(args.config)
     params = cfg.parse_system(config)
     validate(params)

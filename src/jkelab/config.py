@@ -89,9 +89,14 @@ def require_object(block, context: str) -> dict:
 def require_integer(value, context: str) -> int:
     """A JSON number with an integral value (``14`` or ``14.0``) as an int;
     anything else, such as ``14.7``, ``true`` or ``"14"``, is rejected
-    rather than truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    rather than truncated, and so is an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{context} must be an integer, got {value!r}")
+    number = _number(value, context)
+    if not math.isfinite(number):
+        raise ValidationError(
+            f"{context} must be within the float range, got {value!r}")
+    if not number.is_integer():
         raise ValidationError(f"{context} must be an integer, got {value!r}")
     return int(value)
 
@@ -121,7 +126,7 @@ def _number(value, context: str) -> float:
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        return math.copysign(math.inf, value)
+        return math.inf if value > 0 else -math.inf
 
 
 def _require(block: dict, key: str, context: str):
@@ -135,7 +140,15 @@ def _parse_channel(block, signal_power: float, context: str) -> float:
         raise ValidationError(
             f"{context} must set exactly one of 'snr_db' or 'noise_var'")
     if "noise_var" in block:
-        return require_number(block["noise_var"], f"{context}.noise_var")
+        noise_var = require_number(block["noise_var"], f"{context}.noise_var")
+        # The operating point is echoed with its SNR, P / noise_var in dB.
+        # A non-finite signal power is left for validate() to name.
+        if (noise_var > 0 and math.isfinite(signal_power)
+                and math.isinf(signal_power / noise_var)):
+            raise ValidationError(
+                f"{context}.noise_var of {noise_var!r} is out of range: its "
+                f"SNR at signal power {signal_power!r} is not finite")
+        return noise_var
     snr_db = block["snr_db"]
     if snr_db == "inf":
         return snr_to_noise_var(SnrPoint.infinite(), signal_power)

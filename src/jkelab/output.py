@@ -13,9 +13,12 @@ from __future__ import annotations
 import json
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .secrecy import RateSweepGrid, ThresholdSweepGrid
-from .session import SimTrace
+
+if TYPE_CHECKING:  # session loads NumPy; only write_trace_csv needs it
+    from .session import SimTrace
 
 # Rows formatted and written per file write: large enough to amortise the
 # per-write cost, small enough that a long trace never sits in memory.

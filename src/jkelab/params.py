@@ -8,10 +8,9 @@ which are carried in dB.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import adc
 
@@ -128,8 +127,9 @@ class KeyMaterial:
         rng = random.Random(seed)
         return cls(rng.randbytes(n_bits // 8))
 
-    def bit_array(self) -> np.ndarray:
-        """Bits as a uint8 0/1 array, most significant bit first."""
+    def bit_array(self):
+        """Bits as a uint8 0/1 NumPy array, most significant bit first."""
+        import numpy as np
         return np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8))
 
     def with_flipped_bit(self, index: int) -> "KeyMaterial":
@@ -187,7 +187,8 @@ def validate(params: SystemParams) -> SystemParams:
     if not 0 < params.dynamic_range_factor < math.inf:
         raise ValidationError("dynamic range factor must be positive and finite")
     w = params.jamming_bits_per_symbol
-    if not (isinstance(w, (int, np.integer)) and w >= 0):
+    # NumPy registers its integer types as numbers.Integral.
+    if not (isinstance(w, numbers.Integral) and w >= 0):
         raise ValidationError("jamming bits per symbol must be a non-negative integer")
     if not params.bob_noise_var >= 0:
         raise ValidationError("bob channel noise variance must be non-negative")

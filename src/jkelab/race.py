@@ -93,7 +93,7 @@ class JitterTrend:
 # bandwidth-resolution product doubled about every 4.57 years over
 # 2005-2024 (only every 8.34 years over 2010-2024), with ~50 fs rms the
 # best published aperture jitter at the 2024 edge.
-DEFAULT_TREND = JitterTrend(reference_year=2024, reference_jitter_s=50e-15,
+DEFAULT_TREND = JitterTrend(reference_year=2024.0, reference_jitter_s=50e-15,
                             doubling_period_years=4.57)
 
 

@@ -14,8 +14,9 @@ implemented exactly as stated, not "corrected".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 
 from . import adc
 from .params import SnrPoint, SystemParams, ValidationError, snr_to_noise_var
@@ -26,7 +27,7 @@ class NoPositiveSecrecyError(ValueError):
     operating point does not provide one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecrecyReport:
     """Secrecy-rate lower bound at one operating point, with the per-term
     decomposition. ``rate_bits_per_s`` may be negative: the raw bound is
@@ -45,7 +46,15 @@ class SecrecyReport:
         return self.rate_bits_per_s > 0
 
     def to_dict(self) -> dict:
-        return {**vars(self), "positive": self.positive}
+        # Field by field, not vars(self): a sweep grid holds one report
+        # per cell, and slots keep each one without an instance __dict__.
+        out = dict(zip(_REPORT_FIELDS, _report_values(self)))
+        out["positive"] = self.positive
+        return out
+
+
+_REPORT_FIELDS = tuple(field.name for field in fields(SecrecyReport))
+_report_values = attrgetter(*_REPORT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ class ThresholdKind(str, Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnrThreshold:
     """Minimum legitimate-channel SNR with positive secrecy.
 

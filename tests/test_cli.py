@@ -299,6 +299,19 @@ class TestRace:
                      "--out", str(out)]) == EXIT_INFEASIBLE
         assert "error" in read_json(out / "race.json")
 
+    def test_default_trend_block_changes_no_byte(self, tmp_path):
+        race_json = []
+        for trend in ({}, {"trend": {"reference_year": 2024,
+                                     "reference_jitter_s": 50e-15,
+                                     "doubling_period_years": 4.57}}):
+            cfg = write_config(tmp_path, {
+                "system": HEADLINE_SYSTEM,
+                "race": {"attacker": {"preset": "quantum-rsa2048-8h"}} | trend})
+            out = tmp_path / f"race{len(race_json)}"
+            assert main(["race", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            race_json.append((out / "race.json").read_bytes())
+        assert race_json[0] == race_json[1]
+
     def test_classical_preset_with_cores(self, tmp_path):
         cfg = write_config(tmp_path, {
             "system": HEADLINE_SYSTEM,
@@ -437,6 +450,15 @@ class TestConfigNumbers:
          "race.attacker.note must be a string, got ['x']"),
         ("race", "race.attacker.preset", [],
          "race.attacker.preset must be a string, got []"),
+        ("simulate", "simulate.n_symbols", 10 ** 400,
+         "simulate.n_symbols must be within the float range"),
+        ("analyze", "system.jamming_bits_per_symbol", -10 ** 400,
+         "system.jamming_bits_per_symbol must be within the float range"),
+        ("analyze", "efficiency", 10 ** 400, "efficiency must be finite"),
+        ("analyze", "system.bob_channel", {"noise_var": 1e-320},
+         "system.bob_channel.noise_var of 1e-320 is out of range"),
+        ("analyze", "system.eve_channel", {"noise_var": 1e-320},
+         "system.eve_channel.noise_var of 1e-320 is out of range"),
     ], ids=["efficiency-null", "efficiency-list", "efficiency-object",
             "efficiency-true", "signal-power-null", "snr-db-list",
             "snr-db-string", "noise-var-inf", "jitter-inf",
@@ -446,7 +468,10 @@ class TestConfigNumbers:
             "values-number", "spacing-unknown", "key-bits-not-bytes",
             "snr-db-overflow", "snr-db-underflow", "snr-db-subnormal",
             "sweep-snr-overflow", "sweep-snr-underflow", "attacker-name-null",
-            "attacker-note-list", "attacker-preset-list"])
+            "attacker-note-list", "attacker-preset-list",
+            "n-symbols-beyond-float", "jamming-bits-beyond-float",
+            "efficiency-beyond-float", "bob-noise-var-subnormal",
+            "eve-noise-var-subnormal"])
     def test_named_validation_error(self, tmp_path, capsys, command, path,
                                     value, message):
         payload = _patched({"system": HEADLINE_SYSTEM,

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +37,17 @@ class TestValidate:
 
     def test_fractional_jamming_bits_rejected(self, headline_params):
         bad = dataclasses.replace(headline_params, jamming_bits_per_symbol=2.5)
+        with pytest.raises(ValidationError, match="jamming bits"):
+            validate(bad)
+
+    def test_numpy_integer_jamming_bits_accepted(self, headline_params):
+        good = dataclasses.replace(headline_params,
+                                   jamming_bits_per_symbol=np.int64(14))
+        assert validate(good) is good
+
+    @pytest.mark.parametrize("w", [14.5, np.float64(14.0)], ids=repr)
+    def test_float_jamming_bits_rejected(self, headline_params, w):
+        bad = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
         with pytest.raises(ValidationError, match="jamming bits"):
             validate(bad)
 

@@ -53,6 +53,15 @@ class TestSecrecyRate:
         assert r.rate_bits_per_s == r.bandwidth_hz * (r.bob_term_bits
                                                       - r.eve_term_bits)
 
+    def test_report_keeps_no_instance_dict(self, headline_params):
+        # A sweep grid holds one report per cell.
+        report = secrecy_rate(headline_params)
+        assert not hasattr(report, "__dict__")
+        assert not hasattr(min_bob_snr_for_positive_rs(headline_params),
+                           "__dict__")
+        assert list(report.to_dict()) == [
+            field.name for field in dataclasses.fields(report)] + ["positive"]
+
     def test_zero_bandwidth_gives_zero_rate(self, headline_params):
         report = secrecy_rate(dataclasses.replace(headline_params, bandwidth_hz=0.0))
         assert report.rate_bits_per_s == 0.0
