@@ -17,8 +17,7 @@ from .params import (AdcSpec, KeyMaterial, SnrPoint, SystemParams,
                      ValidationError, noise_var_to_snr, snr_to_noise_var,
                      validate)
 from .race import (AttackerTimeModel, JitterTrend, RaceScenario, RaceVerdict,
-                   classical_effort_preset, get_preset, project_jitter,
-                   race_verdict, year_for_jitter)
+                   get_preset, project_jitter, race_verdict, year_for_jitter)
 from .secrecy import (JkeTiming, NoPositiveSecrecyError, SecrecyReport,
                       SnrThreshold, ThresholdKind, jke_duration,
                       min_bob_snr_for_positive_rs, secrecy_rate,
@@ -58,7 +57,7 @@ __all__ = [
     "NoPositiveSecrecyError", "QuantizerConfig", "RaceScenario",
     "RaceVerdict", "SecrecyReport", "SimTrace", "SnrPoint", "SnrThreshold",
     "SystemParams", "ThresholdKind", "ValidationError",
-    "bob_resolution", "cancellation_bits", "classical_effort_preset",
+    "bob_resolution", "cancellation_bits",
     "enob_from_jitter", "eve_resolution", "eve_storage_attack", "get_preset",
     "jamming_stream", "jke_duration", "min_bob_snr_for_positive_rs",
     "noise_var_to_snr", "project_jitter", "quantize", "race_verdict",

@@ -34,12 +34,23 @@ def enob_from_jitter(bandwidth_hz: float, aperture_jitter_s: float) -> float:
 def bob_resolution(signal_power: float, bits: float,
                    dynamic_range_factor: float) -> float:
     """Quantization step of the legitimate receiver: the dynamic range
-    2*l*sqrt(P) split into 2^bits levels."""
+    2*l*sqrt(P) split into 2^bits levels. A step that is not a positive
+    finite float, or whose square (the secrecy bound's step^2 terms) is
+    not, is rejected rather than rounded to 0 or inf."""
     if not signal_power > 0:
         raise ValueError("signal power must be positive")
     if not dynamic_range_factor > 0:
         raise ValueError("dynamic range factor must be positive")
-    return 2.0 * dynamic_range_factor * math.sqrt(signal_power) / 2.0 ** bits
+    try:
+        step = 2.0 * dynamic_range_factor * math.sqrt(signal_power) / 2.0 ** bits
+    except (OverflowError, ZeroDivisionError):  # 2^bits beyond the float range
+        step = math.nan
+    if not (0 < step < math.inf and 0 < step * step < math.inf):
+        raise ValueError(
+            f"quantizer step at {bits!r} bits and dynamic range factor "
+            f"{dynamic_range_factor!r} is out of range: it or its square is "
+            "not a positive finite float")
+    return step
 
 
 def eve_resolution(signal_power: float, bits: float,

@@ -6,36 +6,11 @@ Shipped example configs double as executable documentation; a --config
 argument resolves either a filesystem path or a shipped name like
 ``paper-operating-point``.
 
-Schema (analyze):
-    {
-      "system": {
-        "bandwidth_hz": 40e6,
-        "signal_power": 1.0,              # optional, default 1.0
-        "jamming_bits_per_symbol": 14,
-        "dynamic_range_factor": 2.5,      # optional, default 2.5
-        "bob_adc": {"aperture_jitter_s": 500e-15,
-                     "explicit_bits": 12.5},          # override optional
-        "eve_adc": {"aperture_jitter_s": 5e-15},
-        "bob_channel": {"snr_db": 32.0},  # or {"noise_var": ...}
-        "eve_channel": {"snr_db": "inf"}  # "inf" = noiseless channel
-      },
-      "key_bits": 256,                    # optional, default 256
-      "efficiency": 0.001                 # optional, default 0.001
-    }
-
-sweep adds:  {"sweep": {"which": "fig3a"|"fig3b", <axis blocks>}}
-    axis block: {"values": [...]} or {"min", "max", "step"} (linear) or
-    {"min", "max", "points", "spacing": "log"}
-simulate adds: {"simulate": {"n_symbols", "seed", "cancellation_db",
-    "kem": {"mode": "toy-rsa", "bit_length": 64} | {"mode": "passthrough"},
-    "jam_scale": <optional>}}
-race adds: {"race": {"attacker": {"preset": <name>, "cores": <opt>} |
-    {"name", "t_qc_s", "note"}, "trend": {"reference_year",
-    "reference_jitter_s", "doubling_period_years"}}}
-
-Every number is a finite JSON number: ``true``, ``"32"``, ``null`` and
-``1e400`` are rejected, except the ``"inf"`` of ``snr_db`` and
-``cancellation_db`` and the ``null`` of ``explicit_bits`` and ``t_qc_s``.
+The schema is the block tables below (``ROOT``, ``SYSTEM``, ``ADC``,
+``CHANNEL``, the three axis tables, ``SWEEP``, ``SIMULATE``, ``KEM``,
+``RACE``, ``ATTACKER``, ``TREND``): each maps a key to its parser and its
+default, and :func:`read_block` rejects any key its table does not list.
+README.md ("Config schema") describes the same schema in prose.
 """
 
 from __future__ import annotations
@@ -45,8 +20,9 @@ import math
 from importlib import resources
 from pathlib import Path
 
+from . import race
 from .params import (AdcSpec, SnrPoint, SystemParams, ValidationError,
-                     noise_var_to_snr, snr_to_noise_var)
+                     check_jamming_bits, noise_var_to_snr, snr_to_noise_var)
 
 
 def resolve_config(name_or_path) -> Path:
@@ -70,12 +46,15 @@ def shipped_config_names() -> tuple:
 
 
 def load_config(name_or_path) -> dict:
+    """The JSON object in the config. A file that is not UTF-8 JSON, or
+    that Python's json cannot read (an integer literal of more than 4300
+    digits, brackets nested too deep), is an error naming the file."""
     path = resolve_config(name_or_path)
     try:
         with path.open("r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     return require_object(config, "<root>")
 
 
@@ -129,70 +108,208 @@ def _number(value, context: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _require(block: dict, key: str, context: str):
-    if key not in block:
-        raise ValidationError(f"config missing required key {context}.{key}")
-    return block[key]
+def _or(special, parse):
+    """``parse``, with the JSON value ``special`` (``null`` or ``"inf"``)
+    accepted as is."""
+    return lambda value, context: value if value == special else parse(value, context)
 
 
-def _parse_channel(block, signal_power: float, context: str) -> float:
-    if not isinstance(block, dict) or ("snr_db" in block) == ("noise_var" in block):
-        raise ValidationError(
-            f"{context} must set exactly one of 'snr_db' or 'noise_var'")
-    if "noise_var" in block:
-        noise_var = require_number(block["noise_var"], f"{context}.noise_var")
-        # The operating point is echoed with its SNR, P / noise_var in dB.
-        # A non-finite signal power is left for validate() to name.
-        if (noise_var > 0 and math.isfinite(signal_power)
-                and math.isinf(signal_power / noise_var)):
-            raise ValidationError(
-                f"{context}.noise_var of {noise_var!r} is out of range: its "
-                f"SNR at signal power {signal_power!r} is not finite")
-        return noise_var
-    snr_db = block["snr_db"]
-    if snr_db == "inf":
-        return snr_to_noise_var(SnrPoint.infinite(), signal_power)
-    return snr_to_noise_var(
-        SnrPoint(require_number(snr_db, f"{context}.snr_db")), signal_power)
+def _choice(*choices):
+    def parse(value, context: str):
+        if value not in choices:
+            raise ValidationError(f"{context} must be "
+                                  f"{' or '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return parse
 
 
-def _parse_adc(block, context: str) -> AdcSpec:
+def _number_list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{context} must be a list")
+    return [require_number(v, context) for v in value]
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def read_block(block, context: str, table: dict) -> dict:
+    """Each key of ``table``, a ``(parser, default)`` pair, read from the
+    JSON object ``block``: a given value through its parser under its
+    dotted key, a missing one as its default. A key the table does not
+    list is rejected, naming the closest listed key."""
     require_object(block, context)
-    explicit = block.get("explicit_bits")
-    return AdcSpec(
-        aperture_jitter_s=require_number(
-            _require(block, "aperture_jitter_s", context),
-            f"{context}.aperture_jitter_s"),
-        explicit_bits=None if explicit is None else require_number(
-            explicit, f"{context}.explicit_bits"))
+    prefix = "" if context == "<root>" else f"{context}."
+    for key in block:
+        if key not in table:
+            import difflib  # only this error needs it
+            close = difflib.get_close_matches(key, table, n=1)
+            hint = f"; did you mean {prefix}{close[0]}?" if close else ""
+            raise ValidationError(f"unknown config key {prefix}{key}{hint}")
+    values = {}
+    for key, (parse, default) in table.items():
+        if key in block:
+            values[key] = parse(block[key], prefix + key)
+        elif default is REQUIRED:
+            raise ValidationError(f"config missing required key {context}.{key}")
+        else:
+            values[key] = default
+    return values
+
+
+def _reader(table: dict, build=dict):
+    """The parser of a block-valued key: the block read by ``table``,
+    its values passed to ``build`` as keywords."""
+    return lambda block, context: build(**read_block(block, context, table))
+
+
+def _attacker(block, context: str) -> race.AttackerTimeModel:
+    attacker = read_block(block, context, ATTACKER)
+    if attacker["preset"] is not None:
+        try:
+            return race.get_preset(attacker["preset"], cores=attacker["cores"])
+        except KeyError as exc:
+            raise ValidationError(str(exc)) from exc
+    if "t_qc_s" in block or "name" in block:
+        return race.AttackerTimeModel(
+            attacker["name"], attacker["t_qc_s"], attacker["note"])
+    raise ValidationError(
+        f"{context} must name a preset or define a custom time model")
+
+
+# Block-valued keys that not every command reads are checked as objects
+# here and read by the parse function of the command that uses them.
+ROOT = {"system": (require_object, REQUIRED),
+        "key_bits": (require_integer, 256),
+        "efficiency": (require_number, 0.001),
+        "sweep": (require_object, {}),
+        "simulate": (require_object, {}),
+        "race": (require_object, {})}
+ADC = {"aperture_jitter_s": (require_number, REQUIRED),
+       "explicit_bits": (_or(None, require_number), None)}
+CHANNEL = {"snr_db": (_or("inf", require_number), None),
+           "noise_var": (require_number, None)}
+SYSTEM = {
+    # validate() names a non-finite bandwidth, signal power or dynamic
+    # range factor, so these three may parse to inf.
+    "bandwidth_hz": (_number, REQUIRED),
+    "signal_power": (_number, 1.0),
+    "jamming_bits_per_symbol": (require_integer, REQUIRED),
+    "dynamic_range_factor": (_number, 2.5),
+    "bob_adc": (_reader(ADC, AdcSpec), REQUIRED),
+    "eve_adc": (_reader(ADC, AdcSpec), REQUIRED),
+    "bob_channel": (_reader(CHANNEL), REQUIRED),
+    "eve_channel": (_reader(CHANNEL), REQUIRED),
+}
+_BOUNDS = {"min": (require_number, REQUIRED), "max": (require_number, REQUIRED)}
+VALUES_AXIS = {"values": (_number_list, REQUIRED)}
+LINEAR_AXIS = _BOUNDS | {"step": (require_number, REQUIRED),
+                         "spacing": (_choice("linear", "log"), "linear")}
+LOG_AXIS = _BOUNDS | {"points": (require_integer, REQUIRED),
+                      "spacing": (_choice("log"), "log")}
+# Sweep kinds and their axes: "fig3a" maps a (bob SNR x eve SNR) grid of
+# secrecy rates, "fig3b" maps minimum-bob-SNR thresholds over (jamming
+# bits x eve jitter) with a noiseless eavesdropper.
+SWEEP_AXES = {"fig3a": ("bob_snr_db", "eve_snr_db"),
+              "fig3b": ("jamming_bits", "eve_jitter_s")}
+SWEEP = {
+    "which": (_choice(*SWEEP_AXES), REQUIRED),  # or the --which flag
+    # Default axes are plot-scale estimates.
+    "bob_snr_db": (require_object, {"min": 0.0, "max": 60.0, "step": 2.0}),
+    "eve_snr_db": (require_object, {"min": 0.0, "max": 80.0, "step": 2.0}),
+    "jamming_bits": (require_object, {"min": 1, "max": 20, "step": 1}),
+    "eve_jitter_s": (require_object, {"min": 1e-15, "max": 500e-15,
+                                      "points": 25, "spacing": "log"}),
+}
+KEM = {"mode": (_choice("toy-rsa", "passthrough"), "toy-rsa"),
+       "bit_length": (require_integer, 64)}
+SIMULATE = {
+    "n_symbols": (require_integer, 100_000),
+    "seed": (require_integer, 0),
+    "cancellation_db": (_or("inf", require_number), "inf"),
+    "key_bits": (require_integer, None),  # None: the root's key_bits
+    "kem": (_reader(KEM), read_block({}, "simulate.kem", KEM)),
+    "jam_scale": (_or(None, require_number), None),
+}
+ATTACKER = {"preset": (require_string, None),
+            "cores": (require_integer, 1),
+            "name": (require_string, "custom"),
+            "t_qc_s": (_or(None, require_number), None),
+            "note": (require_string, "")}
+TREND = {key: (require_number, value)
+         for key, value in vars(race.DEFAULT_TREND).items()}
+RACE = {"attacker": (_attacker, REQUIRED),
+        "trend": (_reader(TREND, race.JitterTrend), race.DEFAULT_TREND)}
+
+
+def _root(config: dict) -> dict:
+    return read_block(config, "<root>", ROOT)
 
 
 def parse_system(config: dict) -> SystemParams:
-    sys_block = require_object(_require(config, "system", "<root>"), "system")
-    # validate() names a non-finite bandwidth, signal power or dynamic
-    # range factor, so these three may parse to inf.
-    signal_power = _number(sys_block.get("signal_power", 1.0),
-                           "system.signal_power")
-    return SystemParams(
-        bandwidth_hz=_number(_require(sys_block, "bandwidth_hz", "system"),
-                             "system.bandwidth_hz"),
-        signal_power=signal_power,
-        jamming_bits_per_symbol=require_integer(
-            _require(sys_block, "jamming_bits_per_symbol", "system"),
-            "system.jamming_bits_per_symbol"),
-        dynamic_range_factor=_number(sys_block.get("dynamic_range_factor", 2.5),
-                                     "system.dynamic_range_factor"),
-        bob_adc=_parse_adc(_require(sys_block, "bob_adc", "system"),
-                           "system.bob_adc"),
-        eve_adc=_parse_adc(_require(sys_block, "eve_adc", "system"),
-                           "system.eve_adc"),
-        bob_noise_var=_parse_channel(
-            _require(sys_block, "bob_channel", "system"), signal_power,
-            "system.bob_channel"),
-        eve_noise_var=_parse_channel(
-            _require(sys_block, "eve_channel", "system"), signal_power,
-            "system.eve_channel"),
-    )
+    system = read_block(_root(config)["system"], "system", SYSTEM)
+    for side in ("bob", "eve"):
+        system[f"{side}_noise_var"] = _noise_var(
+            system.pop(f"{side}_channel"), system["signal_power"],
+            f"system.{side}_channel")
+    return SystemParams(**system)
+
+
+def _noise_var(channel: dict, signal_power: float, context: str) -> float:
+    noise_var, snr_db = channel["noise_var"], channel["snr_db"]
+    if (snr_db is None) == (noise_var is None):
+        raise ValidationError(
+            f"{context} must set exactly one of 'snr_db' or 'noise_var'")
+    if noise_var is None:
+        return snr_to_noise_var(
+            SnrPoint.infinite() if snr_db == "inf" else SnrPoint(snr_db),
+            signal_power)
+    # The operating point is echoed with its SNR, P / noise_var in dB.
+    # A non-finite signal power is left for validate() to name.
+    if (noise_var > 0 and math.isfinite(signal_power)
+            and math.isinf(signal_power / noise_var)):
+        raise ValidationError(
+            f"{context}.noise_var of {noise_var!r} is out of range: its "
+            f"SNR at signal power {signal_power!r} is not finite")
+    return noise_var
+
+
+def parse_exchange(config: dict) -> tuple:
+    """The key exchange's ``(key_bits, efficiency)``."""
+    root = _root(config)
+    return root["key_bits"], root["efficiency"]
+
+
+def parse_sweep(config: dict, which=None) -> tuple:
+    """The sweep kind (``which`` overrides the config's) and its axes."""
+    sweep = _root(config)["sweep"]
+    sweep = read_block(sweep | {"which": which} if which else sweep,
+                       "sweep", SWEEP)
+    which = sweep["which"]
+    axes = {name: parse_axis(sweep[name], f"sweep.{name}")
+            for name in SWEEP_AXES[which]}
+    if which == "fig3b":
+        axes["jamming_bits"] = [check_jamming_bits(
+            require_integer(w, "sweep.jamming_bits"), "sweep.jamming_bits")
+            for w in axes["jamming_bits"]]
+    return which, axes
+
+
+def parse_simulate(config: dict) -> dict:
+    """The simulate block, its ``key_bits`` falling back to the root's."""
+    root = _root(config)
+    simulate = read_block(root["simulate"], "simulate", SIMULATE)
+    if simulate["key_bits"] is None:
+        simulate["key_bits"] = root["key_bits"]
+    if simulate["key_bits"] % 8:
+        raise ValidationError(
+            f"key_bits must be a multiple of 8, got {simulate['key_bits']}")
+    return simulate
+
+
+def parse_race(config: dict) -> tuple:
+    """The race's ``(attacker, trend)``."""
+    block = read_block(_root(config)["race"], "race", RACE)
+    return block["attacker"], block["trend"]
 
 
 def system_to_dict(params: SystemParams) -> dict:
@@ -226,27 +343,21 @@ def parse_axis(block, context: str) -> list:
     log-spaced min/max/points range; always strictly increasing."""
     require_object(block, context)
     if "values" in block:
-        if not isinstance(block["values"], list):
-            raise ValidationError(f"{context}.values must be a list")
-        return [require_number(v, f"{context}.values") for v in block["values"]]
-    lo = require_number(_require(block, "min", context), f"{context}.min")
-    hi = require_number(_require(block, "max", context), f"{context}.max")
+        return read_block(block, context, VALUES_AXIS)["values"]
+    log = block.get("spacing") == "log"
+    axis = read_block(block, context, LOG_AXIS if log else LINEAR_AXIS)
+    lo, hi = axis["min"], axis["max"]
     if hi < lo:
         raise ValidationError(f"{context}: max must be >= min")
-    spacing = block.get("spacing", "linear")
-    if spacing not in ("linear", "log"):
-        raise ValidationError(
-            f"{context}.spacing must be 'linear' or 'log', got {spacing!r}")
-    if spacing == "log":
-        points = require_integer(_require(block, "points", context),
-                                 f"{context}.points")
+    if log:
+        points = axis["points"]
         if points < 1 or lo <= 0:
             raise ValidationError(f"{context}: log axis needs points >= 1 and min > 0")
         if points == 1:
             return [lo]
         ratio = (hi / lo) ** (1.0 / (points - 1))
         return [lo * ratio ** i for i in range(points)]
-    step = require_number(_require(block, "step", context), f"{context}.step")
+    step = axis["step"]
     if not step > 0:
         raise ValidationError(f"{context}: step must be positive")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1

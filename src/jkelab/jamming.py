@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .params import KeyMaterial
-
-MAX_BITS_PER_SYMBOL = 32
+from .params import MAX_BITS_PER_SYMBOL, KeyMaterial
 
 _DOMAIN = b"jkelab-jamming-v1"
 

@@ -3,8 +3,8 @@
 Deliberately desk-scale and textbook (unpadded modular exponentiation,
 16..2048-bit moduli) so the timing-race demos can actually factor it.
 THIS IS NOT A SECURE KEM; it exists so the protocol pipeline has a
-concrete, breakable phase 1. A no-op pass-through variant is provided for
-pure channel experiments.
+concrete, breakable phase 1. Pure channel experiments skip it: the
+simulator's ``passthrough`` mode hands the key over unchanged.
 """
 
 from __future__ import annotations
@@ -155,12 +155,3 @@ def decapsulate(privkey: KemKeyPair, ciphertext: RsaCiphertext) -> KeyMaterial:
     if remaining != 0:
         raise MalformedCiphertextError("ciphertext block count inconsistent with key length")
     return KeyMaterial(b"".join(chunks))
-
-
-def passthrough_encapsulate(key: KeyMaterial) -> KeyMaterial:
-    """No-op KEM (ciphertext is the key itself) for pure channel experiments."""
-    return key
-
-
-def passthrough_decapsulate(ciphertext: KeyMaterial) -> KeyMaterial:
-    return ciphertext

@@ -15,6 +15,10 @@ from dataclasses import dataclass, replace
 from . import adc
 
 
+# The widest jamming word, in bits, that every command supports.
+MAX_BITS_PER_SYMBOL = 32
+
+
 class ValidationError(ValueError):
     """An operating-point invariant is violated; message names the invariant."""
 
@@ -177,6 +181,16 @@ class SystemParams:
         return replace(self, eve_noise_var=noise_var)
 
 
+def check_jamming_bits(w, name: str = "jamming bits per symbol"):
+    """``w`` itself, if every command supports it as a jamming word width:
+    an integer in [0, MAX_BITS_PER_SYMBOL]."""
+    # NumPy registers its integer types as numbers.Integral.
+    if not (isinstance(w, numbers.Integral) and 0 <= w <= MAX_BITS_PER_SYMBOL):
+        raise ValidationError(f"{name} must be an integer in "
+                              f"[0, {MAX_BITS_PER_SYMBOL}], got {w!r}")
+    return w
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Check every operating-point invariant; raise on the first violation,
     naming it. Idempotent: returns ``params`` unchanged on success."""
@@ -186,10 +200,7 @@ def validate(params: SystemParams) -> SystemParams:
         raise ValidationError("signal power must be positive and finite")
     if not 0 < params.dynamic_range_factor < math.inf:
         raise ValidationError("dynamic range factor must be positive and finite")
-    w = params.jamming_bits_per_symbol
-    # NumPy registers its integer types as numbers.Integral.
-    if not (isinstance(w, numbers.Integral) and w >= 0):
-        raise ValidationError("jamming bits per symbol must be a non-negative integer")
+    check_jamming_bits(params.jamming_bits_per_symbol)
     if not params.bob_noise_var >= 0:
         raise ValidationError("bob channel noise variance must be non-negative")
     if not params.eve_noise_var >= 0:

@@ -110,14 +110,12 @@ def year_for_jitter(trend: JitterTrend, target_jitter_s: float) -> float:
     :func:`project_jitter`)."""
     if not 0 < target_jitter_s < trend.reference_jitter_s:
         raise ValueError("target jitter must be below the reference jitter")
-    return trend.reference_year + trend.doubling_period_years * math.log2(
+    year = trend.reference_year + trend.doubling_period_years * math.log2(
         trend.reference_jitter_s / target_jitter_s)
-
-
-def classical_effort_preset(cores: int = 1) -> AttackerTimeModel:
-    """The largest published classical factorization, scaled to wall time
-    across ``cores`` (linear-scaling simplification, flagged in the note)."""
-    return _from_core_years(_registry()["classical-rsa829"], cores)
+    if not math.isfinite(year):
+        raise ValueError(f"the jitter trend reaches {target_jitter_s!r} s "
+                         "in no finite year")
+    return year
 
 
 def _from_core_years(entry: dict, cores: int) -> AttackerTimeModel:
@@ -134,10 +132,6 @@ def _registry() -> dict:
     with raw.open("r", encoding="utf-8") as fh:
         data = json.load(fh)
     return {entry["name"]: entry for entry in data["presets"]}
-
-
-def preset_names() -> tuple:
-    return tuple(sorted(_registry()))
 
 
 def get_preset(name: str, cores: int = 1) -> AttackerTimeModel:

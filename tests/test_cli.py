@@ -459,6 +459,28 @@ class TestConfigNumbers:
          "system.bob_channel.noise_var of 1e-320 is out of range"),
         ("analyze", "system.eve_channel", {"noise_var": 1e-320},
          "system.eve_channel.noise_var of 1e-320 is out of range"),
+        ("analyze", "system.bandwidth_hz", 1e-300, "quantizer step at"),
+        ("analyze", "system.bandwidth_hz", 1e200, "quantizer step at"),
+        ("race", "system.dynamic_range_factor", 1e200,
+         "dynamic range factor 1e+200 is out of range"),
+        ("analyze", "system.eve_adc.aperture_jitter_s", 5e-324,
+         "quantizer step at"),
+        ("race", "system.bob_adc.aperture_jitter_s", 1e300,
+         "quantizer step at -inf bits"),
+        ("analyze", "system.jamming_bits_per_symbol", 1100,
+         "jamming bits per symbol must be an integer in [0, 32], got 1100"),
+        ("race", "system.jamming_bits_per_symbol", 1e16,
+         "jamming bits per symbol must be an integer in [0, 32]"),
+        ("simulate", "system.jamming_bits_per_symbol", 40,
+         "jamming bits per symbol must be an integer in [0, 32], got 40"),
+        ("race", "race.trend.reference_jitter_s", 1e300, "in no finite year"),
+        ("analyze", "system.bob_adc.explicit_bits", 1100,
+         "quantizer step at 1100.0 bits and dynamic range factor 2.5 is "
+         "out of range"),
+        ("sweep", "sweep", {"which": "fig3b", "jamming_bits": {"values": [2000]}},
+         "sweep.jamming_bits must be an integer in [0, 32], got 2000"),
+        ("sweep", "sweep", {"which": "fig3b", "jamming_bits": {"values": [40]}},
+         "sweep.jamming_bits must be an integer in [0, 32], got 40"),
     ], ids=["efficiency-null", "efficiency-list", "efficiency-object",
             "efficiency-true", "signal-power-null", "snr-db-list",
             "snr-db-string", "noise-var-inf", "jitter-inf",
@@ -471,7 +493,11 @@ class TestConfigNumbers:
             "attacker-note-list", "attacker-preset-list",
             "n-symbols-beyond-float", "jamming-bits-beyond-float",
             "efficiency-beyond-float", "bob-noise-var-subnormal",
-            "eve-noise-var-subnormal"])
+            "eve-noise-var-subnormal", "bandwidth-tiny", "bandwidth-huge",
+            "dynamic-range-huge", "eve-jitter-subnormal", "bob-jitter-huge",
+            "jamming-bits-1100", "jamming-bits-1e16", "jamming-bits-40",
+            "trend-jitter-huge", "explicit-bits-1100", "fig3b-axis-2000",
+            "fig3b-axis-40"])
     def test_named_validation_error(self, tmp_path, capsys, command, path,
                                     value, message):
         payload = _patched({"system": HEADLINE_SYSTEM,
@@ -499,3 +525,67 @@ class TestConfigNumbers:
         out = tmp_path / "race"
         assert main(["race", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert read_json(out / "race.json")["race"]["verdict"] == "unknown"
+
+
+FULL_PAYLOAD = {"system": HEADLINE_SYSTEM, "simulate": SIM_BLOCK | {"n_symbols": 500},
+                "race": RACE_BLOCK, "sweep": SWEEP_BLOCK}
+
+
+class TestUnknownKeys:
+    """A key no table lists is an error naming the dotted key and the
+    closest listed one, in every block, never a silently used default."""
+
+    @pytest.mark.parametrize("command, path, suggestion", [
+        ("race", "efficency", "efficiency"),
+        ("analyze", "system.dynamic_range_factr", "system.dynamic_range_factor"),
+        ("analyze", "system.eve_adc.aperture_jiter_s",
+         "system.eve_adc.aperture_jitter_s"),
+        ("analyze", "system.bob_channel.snr_bd", "system.bob_channel.snr_db"),
+        ("sweep", "sweep.eve_snr_db.setp", "sweep.eve_snr_db.step"),
+        ("sweep", "sweep.bob_snr", "sweep.bob_snr_db"),
+        ("simulate", "simulate.n_symbol", "simulate.n_symbols"),
+        ("simulate", "simulate.kem.bit_lenght", "simulate.kem.bit_length"),
+        ("race", "race.atacker", "race.attacker"),
+        ("race", "race.attacker.t_qc", "race.attacker.t_qc_s"),
+        ("race", "race.trend.doubling_period", "race.trend.doubling_period_years"),
+    ], ids=["root", "system", "adc", "channel", "axis", "sweep", "simulate",
+            "kem", "race", "attacker", "trend"])
+    def test_misspelled_key_is_named(self, tmp_path, capsys, command, path,
+                                     suggestion):
+        cfg = write_config(tmp_path, _patched(FULL_PAYLOAD, path, 1000))
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown config key {path}")
+        assert f"did you mean {suggestion}?" in err
+        assert "Traceback" not in err
+
+    def test_misspelled_efficiency_is_not_the_default(self, tmp_path):
+        # At efficiency 1e-6 the exchange takes about 11.5 s, so a 1 s
+        # attacker wins; reading the default 1e-3 instead would say
+        # "everlasting".
+        race_block = RACE_BLOCK | {"attacker": {"name": "fast", "t_qc_s": 1.0}}
+        out = tmp_path / "race"
+        cfg = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
+                                      "race": race_block, "efficiency": 1e-6})
+        assert main(["race", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert read_json(out / "race.json")["race"]["verdict"] == "broken"
+        cfg = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
+                                      "race": race_block, "efficency": 1e-6})
+        assert main(["race", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
+class TestUnreadableConfig:
+    @pytest.mark.parametrize("content", [
+        b'{"key_bits": ' + b"9" * 5000 + b"}", b'{"system": "\xe9"}',
+        b"[" * 100_000 + b"]" * 100_000],
+        ids=["5000-digit-integer", "not-utf-8", "nested-too-deep"])
+    def test_named_with_its_path(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["analyze", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not valid JSON")
+        assert "Traceback" not in err

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from jkelab import KeyMaterial
 from jkelab.kem import (MalformedCiphertextError, RsaCiphertext, decapsulate,
-                        encapsulate, keygen, keypair_from_primes,
-                        passthrough_decapsulate, passthrough_encapsulate)
+                        encapsulate, keygen, keypair_from_primes)
 
 
 def egcd(a, b):
@@ -109,7 +108,3 @@ class TestEncapsulation:
     def test_empty_key_rejected_at_type_level(self):
         with pytest.raises(ValueError):
             KeyMaterial(b"")
-
-    def test_passthrough_is_identity(self):
-        key = KeyMaterial.random(seed=2)
-        assert passthrough_decapsulate(passthrough_encapsulate(key)) == key
