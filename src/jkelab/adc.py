@@ -70,24 +70,24 @@ def eve_resolution(signal_power: float, bits: float,
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """A concrete uniform mid-rise quantizer: step, half-width of the
-    spanned range, and the (possibly fractional) bit count tying them
-    together as step = 2*full_scale / 2^bits."""
+    """A concrete uniform mid-rise quantizer: its step, and the half-width
+    ``full_scale`` of the range [-full_scale, +full_scale] it spans.
+
+    The two constructors take the step from :func:`bob_resolution` and
+    :func:`eve_resolution`, so the simulator quantizes at exactly the
+    steps the secrecy bound uses. The step may exceed the whole range
+    (zero or negative effective bits); every sample then lands on one of
+    the two outermost levels.
+    """
 
     step: float
     full_scale: float
-    bits: float
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("quantizer step must be positive")
         if not self.full_scale > 0:
             raise ValueError("quantizer full scale must be positive")
-        if not self.bits > 0:
-            raise ValueError("quantizer bits must be positive")
-        expected = 2.0 * self.full_scale / 2.0 ** self.bits
-        if not math.isclose(self.step, expected, rel_tol=1e-9):
-            raise ValueError("quantizer step inconsistent with full scale and bits")
 
     @classmethod
     def for_signal(cls, signal_power: float, bits: float,
@@ -95,8 +95,7 @@ class QuantizerConfig:
         """Legitimate-receiver quantizer: full scale l*sqrt(P), step
         :func:`bob_resolution`."""
         return cls(step=bob_resolution(signal_power, bits, dynamic_range_factor),
-                   full_scale=dynamic_range_factor * math.sqrt(signal_power),
-                   bits=bits)
+                   full_scale=dynamic_range_factor * math.sqrt(signal_power))
 
     @classmethod
     def for_jammed_signal(cls, signal_power: float, bits: float,
@@ -108,8 +107,7 @@ class QuantizerConfig:
                                        jamming_bits_per_symbol,
                                        dynamic_range_factor),
                    full_scale=(dynamic_range_factor * math.sqrt(signal_power)
-                               * 2.0 ** jamming_bits_per_symbol),
-                   bits=bits)
+                               * 2.0 ** jamming_bits_per_symbol))
 
 
 def quantize(samples, config: QuantizerConfig):

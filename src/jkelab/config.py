@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -130,6 +131,13 @@ def _number_list(value, context: str) -> list:
 
 
 REQUIRED = object()  # the default of a key that must be given
+
+# Size budgets, checked before anything of that size is allocated. A
+# sweep grid peaks near 2 KB per cell while its JSON is written, and a
+# session with its storage attack near 100 B per symbol: about 2 GB and
+# 1 GB at the budgets.
+MAX_SWEEP_CELLS = 10 ** 6
+MAX_SYMBOLS = 10 ** 7
 
 
 def read_block(block, context: str, table: dict) -> dict:
@@ -287,6 +295,11 @@ def parse_sweep(config: dict, which=None) -> tuple:
     which = sweep["which"]
     axes = {name: parse_axis(sweep[name], f"sweep.{name}")
             for name in SWEEP_AXES[which]}
+    cells = math.prod(map(len, axes.values()))
+    if cells > MAX_SWEEP_CELLS:
+        raise ValidationError(
+            f"{' x '.join(f'sweep.{name}' for name in axes)}: {cells} cells, "
+            f"more than {MAX_SWEEP_CELLS}")
     if which == "fig3b":
         axes["jamming_bits"] = [check_jamming_bits(
             require_integer(w, "sweep.jamming_bits"), "sweep.jamming_bits")
@@ -298,6 +311,9 @@ def parse_simulate(config: dict) -> dict:
     """The simulate block, its ``key_bits`` falling back to the root's."""
     root = _root(config)
     simulate = read_block(root["simulate"], "simulate", SIMULATE)
+    if simulate["n_symbols"] > MAX_SYMBOLS:
+        raise ValidationError(f"simulate.n_symbols must be at most "
+                              f"{MAX_SYMBOLS}, got {simulate['n_symbols']}")
     if simulate["key_bits"] is None:
         simulate["key_bits"] = root["key_bits"]
     if simulate["key_bits"] % 8:
@@ -315,27 +331,17 @@ def parse_race(config: dict) -> tuple:
 def system_to_dict(params: SystemParams) -> dict:
     """Echo an operating point in config-schema shape (noise as variances,
     with derived SNRs alongside for readability)."""
-    def adc_dict(spec: AdcSpec) -> dict:
-        out = {"aperture_jitter_s": spec.aperture_jitter_s}
-        if spec.explicit_bits is not None:
-            out["explicit_bits"] = spec.explicit_bits
-        return out
-
-    def channel_dict(noise_var: float) -> dict:
+    # An unset explicit_bits is left out, as a config would leave it out.
+    system = asdict(params, dict_factory=lambda items: {
+        key: value for key, value in items
+        if not (key == "explicit_bits" and value is None)})
+    for side in ("bob", "eve"):
+        noise_var = system.pop(f"{side}_noise_var")
         snr = noise_var_to_snr(noise_var, params.signal_power)
-        return {"noise_var": noise_var,
-                "snr_db": "inf" if snr.is_infinite else snr.snr_db}
-
-    return {
-        "bandwidth_hz": params.bandwidth_hz,
-        "signal_power": params.signal_power,
-        "jamming_bits_per_symbol": params.jamming_bits_per_symbol,
-        "dynamic_range_factor": params.dynamic_range_factor,
-        "bob_adc": adc_dict(params.bob_adc),
-        "eve_adc": adc_dict(params.eve_adc),
-        "bob_channel": channel_dict(params.bob_noise_var),
-        "eve_channel": channel_dict(params.eve_noise_var),
-    }
+        system[f"{side}_channel"] = {
+            "noise_var": noise_var,
+            "snr_db": "inf" if snr.is_infinite else snr.snr_db}
+    return system
 
 
 def parse_axis(block, context: str) -> list:
@@ -353,6 +359,9 @@ def parse_axis(block, context: str) -> list:
         points = axis["points"]
         if points < 1 or lo <= 0:
             raise ValidationError(f"{context}: log axis needs points >= 1 and min > 0")
+        if points > MAX_SWEEP_CELLS:
+            raise ValidationError(f"{context}: {points} points, more than "
+                                  f"{MAX_SWEEP_CELLS}")
         if points == 1:
             return [lo]
         ratio = (hi / lo) ** (1.0 / (points - 1))
@@ -360,5 +369,10 @@ def parse_axis(block, context: str) -> list:
     step = axis["step"]
     if not step > 0:
         raise ValidationError(f"{context}: step must be positive")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    # The point count is floor(span) + 1; span may overflow to inf.
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SWEEP_CELLS:
+        raise ValidationError(f"{context}: more than {MAX_SWEEP_CELLS} "
+                              f"points at step {step!r}")
+    count = int(math.floor(span)) + 1
     return [lo + i * step for i in range(count)]

@@ -32,9 +32,6 @@ class JammingStream:
     jam_scale: float
     symbols: np.ndarray  # float64 levels in [-jam_scale, +jam_scale]
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
 
 def jamming_stream(seed: KeyMaterial, bits_per_symbol: int, n_symbols: int,
                    jam_scale: float) -> JammingStream:

@@ -11,6 +11,7 @@ comma-separated and every line ends in CRLF; float cells are Python
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -84,21 +85,17 @@ def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
                       "%d,%r,%s,%s\r\n", rows)
 
 
-def rate_grid_to_dict(grid: RateSweepGrid) -> dict:
-    return {
-        "bob_snr_db": list(grid.bob_snr_db),
-        "eve_snr_db": list(grid.eve_snr_db),
-        "cells": [[cell.to_dict() for cell in row] for row in grid.cells],
-        "zero_crossing_bob_snr_db": list(grid.zero_crossing_bob_snr_db),
-    }
+def grid_to_dict(grid: RateSweepGrid | ThresholdSweepGrid) -> dict:
+    """A sweep grid as JSON-ready data: each axis and the other fields as
+    lists, each cell through its ``to_dict()``."""
+    out = {field.name: list(getattr(grid, field.name)) for field in fields(grid)}
+    out["cells"] = [[cell.to_dict() for cell in row] for row in grid.cells]
+    return out
 
 
-def threshold_grid_to_dict(grid: ThresholdSweepGrid) -> dict:
-    return {
-        "jamming_bits": list(grid.jamming_bits),
-        "eve_jitter_s": list(grid.eve_jitter_s),
-        "cells": [[cell.to_dict() for cell in row] for row in grid.cells],
-    }
+# Both names stay bound: callers (and profilers) look up the one for
+# their grid kind.
+rate_grid_to_dict = threshold_grid_to_dict = grid_to_dict
 
 
 _TRACE_COLUMNS = ("clean_signal", "jamming", "bob_noise", "eve_noise",

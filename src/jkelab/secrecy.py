@@ -114,7 +114,8 @@ def secrecy_rate(params: SystemParams) -> SecrecyReport:
 def jke_duration(report: SecrecyReport, key_bits: int = 256,
                  efficiency: float = 0.001) -> JkeTiming:
     """Duration of a key exchange for ``key_bits`` secret bits when the
-    protocol extracts ``efficiency`` of the raw secrecy rate."""
+    protocol extracts ``efficiency`` of the raw secrecy rate. A duration
+    that is not a finite float is rejected, never reported as inf."""
     if not key_bits >= 1:
         raise ValidationError("key bits must be at least 1")
     if not 0 < efficiency <= 1:
@@ -122,8 +123,15 @@ def jke_duration(report: SecrecyReport, key_bits: int = 256,
     if report.rate_bits_per_s <= 0:
         raise NoPositiveSecrecyError(
             "no positive secrecy at this operating point")
-    return JkeTiming(key_bits, efficiency,
-                     key_bits / (efficiency * report.rate_bits_per_s))
+    try:
+        duration = key_bits / (efficiency * report.rate_bits_per_s)
+    except ZeroDivisionError:  # efficiency * rate underflows to 0
+        duration = math.inf
+    if not math.isfinite(duration):
+        raise ValidationError(
+            f"exchange duration of {key_bits} key bits at efficiency "
+            f"{efficiency!r} is out of range: it is not a finite float")
+    return JkeTiming(key_bits, efficiency, duration)
 
 
 class ThresholdKind(str, Enum):

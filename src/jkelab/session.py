@@ -53,14 +53,12 @@ class CancellationModel:
 
     @property
     def residual_bits(self) -> float:
-        return cancellation_bits(self.depth_db) if math.isfinite(self.depth_db) else math.inf
+        return cancellation_bits(self.depth_db)
 
     @property
     def residual_amplitude_factor(self) -> float:
         """Amplitude scaling of the surviving jamming (power factor is
-        its square, 10^(-depth/10))."""
-        if math.isinf(self.depth_db):
-            return 0.0
+        its square, 10^(-depth/10)); 0.0 at infinite depth."""
         return 10.0 ** (-self.depth_db / 20.0)
 
 

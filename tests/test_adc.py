@@ -91,10 +91,6 @@ class TestResolutions:
 
 
 class TestQuantizerConfig:
-    def test_inconsistent_step_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            QuantizerConfig(step=1.0, full_scale=2.5, bits=4.0)
-
     def test_for_signal(self):
         q = QuantizerConfig.for_signal(1.0, 12.0, 2.5)
         assert q.full_scale == 2.5
@@ -108,6 +104,16 @@ class TestQuantizerConfig:
     def test_jammed_with_zero_bits_matches_plain(self):
         assert (QuantizerConfig.for_jammed_signal(1.0, 10.0, 0, 2.5)
                 == QuantizerConfig.for_signal(1.0, 10.0, 2.5))
+
+    def test_nonpositive_bits_give_a_two_level_quantizer(self):
+        # 1 us of jitter at 40 MHz leaves -8.27 effective bits: the step
+        # is the closed form, wider than the whole range, and every
+        # sample lands on one of the two levels +-step/2.
+        bits = enob_from_jitter(40e6, 1e-6)
+        q = QuantizerConfig.for_signal(1.0, bits, 2.5)
+        assert q.step == bob_resolution(1.0, bits, 2.5) > 2 * q.full_scale
+        assert list(quantize([-9.0, -0.1, 0.0, 2.4], q)) == [
+            -q.step / 2, -q.step / 2, q.step / 2, q.step / 2]
 
 
 class TestQuantizerStepsAreTheClosedForms:

@@ -1,8 +1,10 @@
 import csv
 import json
+import tracemalloc
 
 import pytest
 
+from jkelab.config import load_config
 from jkelab.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                         main)
 
@@ -100,8 +102,40 @@ class TestAnalyze:
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and "rate_bits_per_s" in lines[0]
 
+    def test_system_echo(self, tmp_path):
+        # explicit_bits is echoed only where it is set, and each channel
+        # as its noise variance with the SNR alongside, whichever the
+        # config gave.
+        system = HEADLINE_SYSTEM | {
+            "eve_adc": {"aperture_jitter_s": 5e-15, "explicit_bits": 18.5},
+            "bob_channel": {"noise_var": 1e-3},
+            "eve_channel": {"snr_db": "inf"}}
+        cfg = write_config(tmp_path, {"system": system})
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        echo = read_json(out / "report.json")["system"]
+        assert json.dumps(echo, sort_keys=True) == json.dumps({
+            "bandwidth_hz": 40e6,
+            "signal_power": 1.0,
+            "jamming_bits_per_symbol": 14,
+            "dynamic_range_factor": 2.5,
+            "bob_adc": {"aperture_jitter_s": 500e-15},
+            "eve_adc": {"aperture_jitter_s": 5e-15, "explicit_bits": 18.5},
+            "bob_channel": {"noise_var": 1e-3, "snr_db": 30.0},
+            "eve_channel": {"noise_var": 0.0, "snr_db": "inf"},
+        }, sort_keys=True)
+
 
 class TestSweep:
+    def test_one_point_log_axis_is_its_min(self, tmp_path):
+        path = write_config(tmp_path, {
+            "system": HEADLINE_SYSTEM,
+            "sweep": SWEEP_BLOCK | {"eve_snr_db": {
+                "min": 70.0, "max": 80.0, "points": 1, "spacing": "log"}}})
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert read_json(out / "sweep.json")["axes"]["eve_snr_db"] == [70.0]
+
     def test_single_cell_matches_analyze(self, tmp_path):
         cfg = write_config(tmp_path, {
             "system": HEADLINE_SYSTEM,
@@ -256,6 +290,29 @@ class TestSimulate:
         stats = read_json(out / "stats.json")
         assert stats["session"]["insufficient_cancellation"] is True
         assert any("cannot cancel" in w for w in stats["warnings"])
+
+    def test_nonpositive_bob_bits_match_analyze(self, tmp_path):
+        # 1 us of jitter leaves Bob -8.27 effective bits at 40 MHz: the
+        # bound has no positive secrecy, and the simulator quantizes at
+        # the bound's own step.
+        config = load_config("simulate-default")
+        config["system"]["bob_adc"]["aperture_jitter_s"] = 1e-6
+        config["simulate"]["n_symbols"] = 1000
+        path = write_config(tmp_path, config)
+        out_s, out_a = tmp_path / "s", tmp_path / "a"
+        assert main(["simulate", "--config", path, "--out", str(out_s)]) == EXIT_OK
+        assert main(["analyze", "--config", path,
+                     "--out", str(out_a)]) == EXIT_INFEASIBLE
+        assert (read_json(out_s / "stats.json")["session"]["delta_b"]
+                == read_json(out_a / "report.json")["secrecy"]["delta_b"])
+
+    def test_key_bits_default_to_the_root(self, tmp_path):
+        simulate = {k: v for k, v in SIM_BLOCK.items() if k != "key_bits"}
+        path = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
+                                       "key_bits": 128, "simulate": simulate})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert read_json(out / "stats.json")["session"]["bob_key_bits_covered"] == 128
 
 
 class TestRace:
@@ -481,6 +538,26 @@ class TestConfigNumbers:
          "sweep.jamming_bits must be an integer in [0, 32], got 2000"),
         ("sweep", "sweep", {"which": "fig3b", "jamming_bits": {"values": [40]}},
          "sweep.jamming_bits must be an integer in [0, 32], got 40"),
+        ("analyze", "efficiency", 5e-324,
+         "exchange duration of 256 key bits at efficiency 5e-324 is out of range"),
+        ("race", "efficiency", 5e-324,
+         "exchange duration of 256 key bits at efficiency 5e-324 is out of range"),
+        ("sweep", "sweep.eve_snr_db.max", 60.0,
+         "sweep.eve_snr_db: max must be >= min"),
+        ("sweep", "sweep.eve_snr_db.step", 0.0,
+         "sweep.eve_snr_db: step must be positive"),
+        ("sweep", "sweep.eve_snr_db",
+         {"min": 70.0, "max": 80.0, "points": 0, "spacing": "log"},
+         "sweep.eve_snr_db: log axis needs points >= 1 and min > 0"),
+        ("sweep", "sweep.eve_snr_db",
+         {"min": 0.0, "max": 80.0, "points": 3, "spacing": "log"},
+         "sweep.eve_snr_db: log axis needs points >= 1 and min > 0"),
+        ("analyze", "system.bob_channel", {"snr_db": 32.0, "noise_var": 1e-3},
+         "system.bob_channel must set exactly one of 'snr_db' or 'noise_var'"),
+        ("analyze", "system.eve_channel", {},
+         "system.eve_channel must set exactly one of 'snr_db' or 'noise_var'"),
+        ("race", "race.attacker", {"cores": 2},
+         "race.attacker must name a preset or define a custom time model"),
     ], ids=["efficiency-null", "efficiency-list", "efficiency-object",
             "efficiency-true", "signal-power-null", "snr-db-list",
             "snr-db-string", "noise-var-inf", "jitter-inf",
@@ -497,7 +574,10 @@ class TestConfigNumbers:
             "dynamic-range-huge", "eve-jitter-subnormal", "bob-jitter-huge",
             "jamming-bits-1100", "jamming-bits-1e16", "jamming-bits-40",
             "trend-jitter-huge", "explicit-bits-1100", "fig3b-axis-2000",
-            "fig3b-axis-40"])
+            "fig3b-axis-40", "analyze-duration-overflow",
+            "race-duration-overflow", "axis-max-below-min", "axis-step-zero",
+            "log-axis-no-points", "log-axis-min-zero", "channel-both",
+            "channel-neither", "attacker-no-model"])
     def test_named_validation_error(self, tmp_path, capsys, command, path,
                                     value, message):
         payload = _patched({"system": HEADLINE_SYSTEM,
@@ -529,6 +609,39 @@ class TestConfigNumbers:
 
 FULL_PAYLOAD = {"system": HEADLINE_SYSTEM, "simulate": SIM_BLOCK | {"n_symbols": 500},
                 "race": RACE_BLOCK, "sweep": SWEEP_BLOCK}
+
+
+class TestBudgets:
+    """A sweep grid or a session beyond its size budget is a named error,
+    raised before anything of that size is allocated."""
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("sweep", "sweep.eve_snr_db", {"min": 0, "max": 1, "step": 1e-12},
+         "sweep.eve_snr_db: more than 1000000 points at step 1e-12"),
+        ("sweep", "sweep.eve_snr_db",
+         {"min": 1.0, "max": 2.0, "points": 10 ** 9, "spacing": "log"},
+         "sweep.eve_snr_db: 1000000000 points, more than 1000000"),
+        ("sweep", "sweep", {"which": "fig3a",
+                            "bob_snr_db": {"min": 0, "max": 1, "step": 1e-4},
+                            "eve_snr_db": {"min": 0, "max": 1, "step": 1e-3}},
+         "sweep.bob_snr_db x sweep.eve_snr_db: 10011001 cells, more than 1000000"),
+        ("simulate", "simulate.n_symbols", 10 ** 12,
+         "simulate.n_symbols must be at most 10000000, got 1000000000000"),
+    ], ids=["linear-axis", "log-axis", "grid", "symbols"])
+    def test_rejected_before_allocating(self, tmp_path, capsys, command, path,
+                                        value, message):
+        import jkelab.session  # noqa: F401  loads NumPy before measuring
+        path = write_config(tmp_path, _patched(FULL_PAYLOAD, path, value))
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert peak < 10 * 2 ** 20
 
 
 class TestUnknownKeys:

@@ -158,6 +158,14 @@ class TestJkeDuration:
         with pytest.raises(ValidationError):
             jke_duration(report, 0, 0.001)
 
+    @pytest.mark.parametrize("rate", [1e8, 0.25],
+                             ids=["quotient-overflows", "product-underflows"])
+    def test_nonfinite_duration_rejected(self, rate):
+        report = SecrecyReport(1.0, rate, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="of 256 key bits at "
+                           "efficiency 5e-324 is out of range"):
+            jke_duration(report, 256, 5e-324)
+
 
 class TestMinBobSnr:
     def test_noiseless_eve_threshold_frozen(self, headline_params):
