@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import config as cfg
 from . import kem, output, race
-from .params import KeyMaterial, SystemParams, validate
+from .params import KeyMaterial, SystemParams, ValidationError, validate
 from .secrecy import (NoPositiveSecrecyError, jke_duration, secrecy_rate,
                       sweep_min_bob_snr, sweep_rate_vs_snr)
 
@@ -103,19 +103,16 @@ def cmd_sweep(args) -> int:
     output.write_json(out / "config.json", config)
     if which == "fig3a":
         grid = sweep_rate_vs_snr(params, axes["bob_snr_db"], axes["eve_snr_db"])
-        if args.format == "json":
-            output.write_json(out / "grid.json", output.rate_grid_to_dict(grid))
-        else:
+        if args.format == "csv":
             output.write_rate_grid_csv(grid, out / "grid.csv")
             output.write_rate_contour_csv(grid, out / "zero_crossing.csv")
     else:
         grid = sweep_min_bob_snr(params, axes["jamming_bits"],
                                  axes["eve_jitter_s"])
-        if args.format == "json":
-            output.write_json(out / "grid.json",
-                              output.threshold_grid_to_dict(grid))
-        else:
+        if args.format == "csv":
             output.write_threshold_grid_csv(grid, out / "grid.csv")
+    if args.format == "json":
+        output.write_json(out / "grid.json", grid)
     output.write_json(out / "sweep.json", {
         "which": which, "system": cfg.system_to_dict(params), "axes": axes})
     print(f"swept {which}: {math.prod(map(len, axes.values()))} cells -> {out}")
@@ -130,8 +127,8 @@ def cmd_simulate(args) -> int:
                           run_jke_session, true_jamming_stream)
 
     config, params = _load(args)
-    sim = cfg.parse_simulate(config)
-    seed = sim["seed"] if args.seed is None else args.seed
+    sim = cfg.parse_simulate(config, args.seed)
+    seed = sim["seed"]
     depth = sim["cancellation_db"]
 
     # Fold the effective seed back in so a rerun from the written config
@@ -155,10 +152,21 @@ def cmd_simulate(args) -> int:
                      "roundtrip_ok": k_ab_rx == k_ab}
     k_l = KeyMaterial(np.random.default_rng(stage[2]).bytes(sim["key_bits"] // 8))
 
-    # float("inf") for the config's "inf", the float itself otherwise
-    trace = run_jke_session(params, CancellationModel(float(depth)), k_l,
-                            sim["n_symbols"], int(stage[3].generate_state(1)[0]),
-                            jamming_seed=k_ab_rx, jam_scale=sim["jam_scale"])
+    # A sample power beyond the float range (signal power 1e300 at w = 14)
+    # is a named error, not a NumPy warning and an inf statistic.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # float("inf") for the config's "inf", the float itself otherwise
+            trace = run_jke_session(
+                params, CancellationModel(float(depth)), k_l, sim["n_symbols"],
+                int(stage[3].generate_state(1)[0]), jamming_seed=k_ab_rx,
+                jam_scale=sim["jam_scale"])
+            attack = (eve_storage_attack(trace, true_jamming_stream(trace))
+                      if params.jamming_bits_per_symbol > 0 else None)
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"simulated sample powers at signal power {params.signal_power!r} "
+            f"are out of range: {exc}") from exc
     stats = {
         "session": trace.stats,
         "kem": kem_info,
@@ -166,8 +174,7 @@ def cmd_simulate(args) -> int:
         "cancellation_db": depth,
         "seed": seed,
     }
-    if params.jamming_bits_per_symbol > 0:
-        attack = eve_storage_attack(trace, true_jamming_stream(trace))
+    if attack is not None:
         stats["storage_attack"] = attack.to_dict()
     output.write_json(out / "stats.json", stats)
     output.write_trace_csv(trace, out / "trace.csv")

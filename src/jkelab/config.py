@@ -21,9 +21,10 @@ from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
-from . import race
-from .params import (AdcSpec, SnrPoint, SystemParams, ValidationError,
-                     check_jamming_bits, noise_var_to_snr, snr_to_noise_var)
+from . import kem, race
+from .params import (AdcSpec, KeyMaterial, SnrPoint, SystemParams,
+                     ValidationError, check_jamming_bits, noise_var_to_snr,
+                     snr_to_noise_var)
 
 
 def resolve_config(name_or_path) -> Path:
@@ -124,6 +125,24 @@ def _choice(*choices):
     return parse
 
 
+def _bounded(parse, low, high=math.inf):
+    """``parse``, rejecting a value outside [low, high]."""
+    def parse_bounded(value, context: str):
+        number = parse(value, context)
+        if not low <= number <= high:
+            bounds = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ValidationError(f"{context} must be {bounds}, got {value!r}")
+        return number
+    return parse_bounded
+
+
+def _positive(value, context: str) -> float:
+    number = require_number(value, context)
+    if not number > 0:
+        raise ValidationError(f"{context} must be positive, got {value!r}")
+    return number
+
+
 def _number_list(value, context: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{context} must be a list")
@@ -133,8 +152,8 @@ def _number_list(value, context: str) -> list:
 REQUIRED = object()  # the default of a key that must be given
 
 # Size budgets, checked before anything of that size is allocated. A
-# sweep grid peaks near 2 KB per cell while its JSON is written, and a
-# session with its storage attack near 100 B per symbol: about 2 GB and
+# sweep grid peaks near 0.7 KB per cell while its JSON is written, and a
+# session with its storage attack near 100 B per symbol: about 0.7 GB and
 # 1 GB at the budgets.
 MAX_SWEEP_CELLS = 10 ** 6
 MAX_SYMBOLS = 10 ** 7
@@ -229,17 +248,18 @@ SWEEP = {
                                       "points": 25, "spacing": "log"}),
 }
 KEM = {"mode": (_choice("toy-rsa", "passthrough"), "toy-rsa"),
-       "bit_length": (require_integer, 64)}
+       "bit_length": (_bounded(require_integer, kem.MIN_MODULUS_BITS,
+                               kem.MAX_MODULUS_BITS), 64)}
 SIMULATE = {
-    "n_symbols": (require_integer, 100_000),
-    "seed": (require_integer, 0),
-    "cancellation_db": (_or("inf", require_number), "inf"),
+    "n_symbols": (_bounded(require_integer, 1), 100_000),
+    "seed": (_bounded(require_integer, 0), 0),
+    "cancellation_db": (_or("inf", _bounded(require_number, 0.0)), "inf"),
     "key_bits": (require_integer, None),  # None: the root's key_bits
     "kem": (_reader(KEM), read_block({}, "simulate.kem", KEM)),
-    "jam_scale": (_or(None, require_number), None),
+    "jam_scale": (_or(None, _positive), None),
 }
 ATTACKER = {"preset": (require_string, None),
-            "cores": (require_integer, 1),
+            "cores": (_bounded(require_integer, 1), 1),
             "name": (require_string, "custom"),
             "t_qc_s": (_or(None, require_number), None),
             "note": (require_string, "")}
@@ -307,10 +327,13 @@ def parse_sweep(config: dict, which=None) -> tuple:
     return which, axes
 
 
-def parse_simulate(config: dict) -> dict:
-    """The simulate block, its ``key_bits`` falling back to the root's."""
+def parse_simulate(config: dict, seed=None) -> dict:
+    """The simulate block (``seed`` overrides the config's), its
+    ``key_bits`` falling back to the root's."""
     root = _root(config)
-    simulate = read_block(root["simulate"], "simulate", SIMULATE)
+    simulate = root["simulate"]
+    simulate = read_block(simulate if seed is None else simulate | {"seed": seed},
+                          "simulate", SIMULATE)
     if simulate["n_symbols"] > MAX_SYMBOLS:
         raise ValidationError(f"simulate.n_symbols must be at most "
                               f"{MAX_SYMBOLS}, got {simulate['n_symbols']}")
@@ -319,6 +342,12 @@ def parse_simulate(config: dict) -> dict:
     if simulate["key_bits"] % 8:
         raise ValidationError(
             f"key_bits must be a multiple of 8, got {simulate['key_bits']}")
+    # The session holds one amplitude per key bit, so a key is bounded
+    # like a symbol stream.
+    if not KeyMaterial.MIN_BITS <= simulate["key_bits"] <= MAX_SYMBOLS:
+        raise ValidationError(
+            f"key_bits must be in [{KeyMaterial.MIN_BITS}, {MAX_SYMBOLS}] for "
+            f"simulate, got {simulate['key_bits']}")
     return simulate
 
 

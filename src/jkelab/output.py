@@ -1,22 +1,32 @@
 """File emission: plot-ready CSV for grids and traces, JSON for scalar
-reports. Serialization is canonical (sorted keys, repr-roundtrip floats)
-so identical inputs always produce byte-identical files.
+reports and grids. Serialization is canonical (sorted keys, repr-roundtrip
+floats) so identical inputs always produce byte-identical files.
 
 CSV byte contract: one header row, then one row per record; cells are
 comma-separated and every line ends in CRLF; float cells are Python
 ``repr`` (the shortest string that round-trips the float64 exactly);
 ``None`` is an empty cell; booleans are lowercase ``true``/``false``.
+
+JSON byte contract: a file is ``json.dumps(payload, indent=2,
+sort_keys=True)`` plus a newline, and a sweep grid is written as that of
+``grid_to_dict(grid)``, with ``Infinity``, ``-Infinity`` and ``NaN`` for
+non-finite floats. A grid's cells skip ``json.dumps``: each is filled into
+a ``%`` template, and a rate sweep, which builds every cell of a row (and
+of a column) from the same float objects, has each value a cell shares
+with its row (bandwidth, Bob's term, delta_b) or its column (Eve's term,
+delta_e) formatted once per row or column, in the JSON as in the CSV; so
+are the CSV's axis values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
-from itertools import islice
+from dataclasses import fields, replace
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .secrecy import RateSweepGrid, ThresholdSweepGrid
+from .secrecy import RateSweepGrid, ThresholdKind, ThresholdSweepGrid
 
 if TYPE_CHECKING:  # session loads NumPy; only write_trace_csv needs it
     from .session import SimTrace
@@ -27,6 +37,12 @@ _BATCH_ROWS = 1024
 
 
 def dump_json_str(payload) -> str:
+    """``payload``, or a sweep grid, as JSON text (the contract above)."""
+    if isinstance(payload, RateSweepGrid):
+        return _grid_json(rate_grid_to_dict, payload, _rate_rows_json(payload))
+    if isinstance(payload, ThresholdSweepGrid):
+        return _grid_json(threshold_grid_to_dict, payload,
+                          _threshold_rows_json(payload))
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -54,17 +70,59 @@ def _blank_none(value) -> str:
     return "" if value is None else repr(value)
 
 
+def _rate_texts(grid: RateSweepGrid, bob_axis, eve_axis, row_text, column_text):
+    """Each row of ``grid`` as a list of ``(row text, column text, cell)``.
+
+    ``row_text(bob, cell)`` formats the values ``cell`` shares with its row
+    (bandwidth, Bob's term, delta_b) and ``column_text(eve, cell)`` those
+    it shares with its column (Eve's term, delta_e); ``bob`` and ``eve``
+    come from the axes, zipped with the rows and with each row's cells.
+    Each text is formatted for the first cell of its row or column and
+    reused for every cell holding those same float objects, as every cell
+    of a sweep does; a cell holding any other object gets its own."""
+    columns = []  # (text, eve_term_bits, delta_e) per column
+    for bob, row in zip(bob_axis, grid.cells):
+        texts = []
+        if row:
+            lead = row[0]
+            row_shared = row_text(bob, lead)
+            bandwidth, bob_term, delta_b = (lead.bandwidth_hz, lead.bob_term_bits,
+                                            lead.delta_b)
+        for j, (eve, cell) in enumerate(zip(eve_axis, row)):
+            if j == len(columns):
+                columns.append((column_text(eve, cell), cell.eve_term_bits,
+                                cell.delta_e))
+            column_shared, eve_term, delta_e = columns[j]
+            texts.append((
+                row_shared if (cell.bandwidth_hz is bandwidth
+                               and cell.bob_term_bits is bob_term
+                               and cell.delta_b is delta_b)
+                else row_text(bob, cell),
+                column_shared if (cell.eve_term_bits is eve_term
+                                  and cell.delta_e is delta_e)
+                else column_text(eve, cell),
+                cell))
+        yield texts
+
+
 def write_rate_grid_csv(grid: RateSweepGrid, path) -> Path:
     """One row per cell, legitimate-SNR index outer."""
-    rows = ((sb, se, cell.rate_bits_per_s, cell.bob_term_bits,
-             cell.eve_term_bits, cell.delta_b, cell.delta_e,
-             "true" if cell.positive else "false")
-            for sb, row in zip(grid.bob_snr_db, grid.cells)
-            for se, cell in zip(grid.eve_snr_db, row))
+    def row_text(bob, cell):
+        return repr(bob), repr(cell.bob_term_bits), repr(cell.delta_b)
+
+    def column_text(eve, cell):
+        return repr(eve), repr(cell.eve_term_bits), repr(cell.delta_e)
+
+    texts = _rate_texts(grid, grid.bob_snr_db, grid.eve_snr_db,
+                        row_text, column_text)
+    rows = ((sb, se, cell.rate_bits_per_s, bob_term, eve_term, delta_b,
+             delta_e, "true" if cell.positive else "false")
+            for (sb, bob_term, delta_b), (se, eve_term, delta_e), cell
+            in chain.from_iterable(texts))
     return _write_csv(path, ("bob_snr_db", "eve_snr_db", "rate_bits_per_s",
                              "bob_term_bits", "eve_term_bits", "delta_b",
                              "delta_e", "positive"),
-                      "%r,%r,%r,%r,%r,%r,%r,%s\r\n", rows)
+                      "%s,%s,%r,%s,%s,%s,%s,%s\r\n", rows)
 
 
 def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
@@ -77,12 +135,13 @@ def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
 
 
 def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
+    jitters = [repr(jitter) for jitter in grid.eve_jitter_s]
     rows = ((w, jitter, cell.kind.value, _blank_none(cell.snr_db))
-            for w, row in zip(grid.jamming_bits, grid.cells)
-            for jitter, cell in zip(grid.eve_jitter_s, row))
+            for w, row in zip(map("%d".__mod__, grid.jamming_bits), grid.cells)
+            for jitter, cell in zip(jitters, row))
     return _write_csv(path, ("jamming_bits_per_symbol", "eve_jitter_s",
                              "kind", "min_bob_snr_db"),
-                      "%d,%r,%s,%s\r\n", rows)
+                      "%s,%s,%s,%s\r\n", rows)
 
 
 def grid_to_dict(grid: RateSweepGrid | ThresholdSweepGrid) -> dict:
@@ -96,6 +155,70 @@ def grid_to_dict(grid: RateSweepGrid | ThresholdSweepGrid) -> dict:
 # Both names stay bound: callers (and profilers) look up the one for
 # their grid kind.
 rate_grid_to_dict = threshold_grid_to_dict = grid_to_dict
+
+_INF = float("inf")
+
+
+def _json_scalar(value) -> str:
+    """A number, bool or None as ``json.dumps`` writes it."""
+    if type(value) is float and -_INF < value < _INF:
+        return repr(value)
+    return "null" if value is None else json.dumps(value)
+
+
+# One cell of a grid's JSON, keys sorted, at the depth json.dumps(indent=2)
+# puts it: the grid object, then its "cells" list, then a row list.
+_RATE_ROW = ('{\n        "bandwidth_hz": %s,\n        "bob_term_bits": %s,'
+             '\n        "delta_b": %s,\n')
+_RATE_COLUMN = '        "delta_e": %s,\n        "eve_term_bits": %s,\n'
+_RATE_CELL = '%s%s        "positive": %s,\n        "rate_bits_per_s": %s\n      }'
+_THRESHOLD_CELL = '{\n        "kind": %s,\n        "snr_db": %s\n      }'
+_KIND_JSON = {kind: json.dumps(kind.value) for kind in ThresholdKind}
+
+
+def _json_row(cells: list) -> str:
+    """A row of formatted cells as json.dumps(indent=2) writes that list."""
+    return "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
+
+
+def _rate_rows_json(grid: RateSweepGrid) -> list:
+    def row_text(_, cell):
+        return _RATE_ROW % (_json_scalar(cell.bandwidth_hz),
+                            _json_scalar(cell.bob_term_bits),
+                            _json_scalar(cell.delta_b))
+
+    def column_text(_, cell):
+        return _RATE_COLUMN % (_json_scalar(cell.delta_e),
+                               _json_scalar(cell.eve_term_bits))
+
+    endless = repeat(None)  # the JSON writes every cell, axes or not
+    return [_json_row([_RATE_CELL % (row_shared, column_shared,
+                                     "true" if cell.positive else "false",
+                                     _json_scalar(cell.rate_bits_per_s))
+                       for row_shared, column_shared, cell in row])
+            for row in _rate_texts(grid, endless, endless, row_text, column_text)]
+
+
+def _threshold_rows_json(grid: ThresholdSweepGrid) -> list:
+    return [_json_row([_THRESHOLD_CELL % (_KIND_JSON[cell.kind],
+                                          _json_scalar(cell.snr_db))
+                       for cell in row]) for row in grid.cells]
+
+
+def _grid_json(to_dict, grid, rows: list) -> str:
+    """``grid`` as JSON: its other fields through ``to_dict`` and
+    ``json.dumps``, with ``rows``, the JSON text of each row of cells, in
+    place of its empty ``"cells"`` list."""
+    text = json.dumps(to_dict(replace(grid, cells=())), indent=2,
+                      sort_keys=True) + "\n"
+    if not rows:
+        return text
+    head, _, tail = text.partition('"cells": []')
+    # The text around the cells rides on the first and last row, so the
+    # one join below is the only copy of the whole grid.
+    rows[0] = head + '"cells": [\n    ' + rows[0]
+    rows[-1] += "\n  ]" + tail
+    return ",\n    ".join(rows)
 
 
 _TRACE_COLUMNS = ("clean_signal", "jamming", "bob_noise", "eve_noise",

@@ -106,9 +106,21 @@ def secrecy_rate(params: SystemParams) -> SecrecyReport:
             "bob noise variance and quantization step cannot both be zero")
     bob_term = math.log2((p + bob_floor) / bob_floor)
     eve_term = math.log2(_eve_ratio(p, params.eve_noise_var, delta_e))
-    rate = params.bandwidth_hz * (bob_term - eve_term)
+    rate = _finite_rate(params.bandwidth_hz, bob_term, eve_term)
     return SecrecyReport(params.bandwidth_hz, rate, bob_term, eve_term,
                          delta_b, delta_e)
+
+
+def _finite_rate(bandwidth: float, bob_term: float, eve_term: float) -> float:
+    """The rate ``bandwidth * (bob_term - eve_term)``, rejected when it is
+    not a finite float, never reported as inf."""
+    rate = bandwidth * (bob_term - eve_term)
+    if not math.isfinite(rate):
+        raise ValidationError(
+            f"secrecy rate at bandwidth {bandwidth!r} Hz with log terms "
+            f"{bob_term!r} and {eve_term!r} bits is out of range: it is not "
+            f"a finite float")
+    return rate
 
 
 def jke_duration(report: SecrecyReport, key_bits: int = 256,
@@ -234,6 +246,12 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
     bob_reports = eve_reports[:1] + [
         secrecy_rate(first_col.with_bob_noise_var(noise(sb)))
         for sb in bob_axis[1:]]
+    # The rate is monotone in the term difference, so if the two extreme
+    # cells are finite, every cell is.
+    bob_terms = [b.bob_term_bits for b in bob_reports]
+    eve_terms = [e.eve_term_bits for e in eve_reports]
+    _finite_rate(template.bandwidth_hz, max(bob_terms), min(eve_terms))
+    _finite_rate(template.bandwidth_hz, min(bob_terms), max(eve_terms))
     rows = tuple(
         tuple(SecrecyReport(b.bandwidth_hz,
                             b.bandwidth_hz * (b.bob_term_bits - e.eve_term_bits),

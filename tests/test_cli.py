@@ -314,6 +314,33 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
         assert read_json(out / "stats.json")["session"]["bob_key_bits_covered"] == 128
 
+    @pytest.mark.parametrize("block, argv, message", [
+        ({"n_symbols": 0}, [], "simulate.n_symbols must be at least 1, got 0"),
+        ({"seed": -1}, [], "simulate.seed must be at least 0, got -1"),
+        ({}, ["--seed", "-1"], "simulate.seed must be at least 0, got -1"),
+        ({"jam_scale": 0.0}, [], "simulate.jam_scale must be positive, got 0.0"),
+        ({"jam_scale": -2.0}, [], "simulate.jam_scale must be positive, got -2.0"),
+        ({"kem": {"bit_length": 8}}, [],
+         "simulate.kem.bit_length must be in [16, 2048], got 8"),
+        ({"cancellation_db": -10}, [],
+         "simulate.cancellation_db must be at least 0.0, got -10"),
+        ({"key_bits": 64}, [],
+         "key_bits must be in [128, 10000000] for simulate, got 64"),
+        ({"key_bits": 1e200}, [],
+         f"key_bits must be in [128, 10000000] for simulate, got {int(1e200)}"),
+    ], ids=["n-symbols-0", "seed-negative", "seed-flag-negative",
+            "jam-scale-0", "jam-scale-negative", "kem-bits-8",
+            "cancellation-negative", "key-bits-64", "key-bits-1e200"])
+    def test_bad_value_named_before_any_output(self, tmp_path, capsys, block,
+                                               argv, message):
+        path = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
+                                       "simulate": SIM_BLOCK | block})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out)]
+                    + argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRace:
     def test_headline_point_vs_quantum_preset(self, tmp_path):
@@ -445,6 +472,12 @@ SWEEP_BLOCK = {"which": "fig3a",
                "bob_snr_db": {"values": [30.0, 32.0]},
                "eve_snr_db": {"min": 70.0, "max": 80.0, "step": 5.0}}
 INF = float("inf")
+# Both log terms are a few bits, but times 1e308 Hz their difference
+# overflows: Eve's term exceeds Bob's by about 9 bits at the headline SNRs.
+OVERFLOW_SYSTEM = HEADLINE_SYSTEM | {
+    "bandwidth_hz": 1e308,
+    "bob_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 12},
+    "eve_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 24}}
 
 
 class TestConfigNumbers:
@@ -558,6 +591,19 @@ class TestConfigNumbers:
          "system.eve_channel must set exactly one of 'snr_db' or 'noise_var'"),
         ("race", "race.attacker", {"cores": 2},
          "race.attacker must name a preset or define a custom time model"),
+        ("race", "race.attacker", {"preset": "classical-rsa829", "cores": 0},
+         "race.attacker.cores must be at least 1, got 0"),
+        ("analyze", "system", OVERFLOW_SYSTEM,
+         "secrecy rate at bandwidth 1e+308 Hz with log terms"),
+        ("simulate", "system.signal_power", 1e300,
+         "simulated sample powers at signal power 1e+300 are out of range"),
+        ("sweep", "system", OVERFLOW_SYSTEM,
+         "secrecy rate at bandwidth 1e+308 Hz with log terms"),
+        ("simulate", "simulate.n_symbols", 0,
+         "simulate.n_symbols must be at least 1, got 0"),
+        ("simulate", "simulate.seed", -1, "simulate.seed must be at least 0"),
+        ("simulate", "simulate.jam_scale", 0.0,
+         "simulate.jam_scale must be positive, got 0.0"),
     ], ids=["efficiency-null", "efficiency-list", "efficiency-object",
             "efficiency-true", "signal-power-null", "snr-db-list",
             "snr-db-string", "noise-var-inf", "jitter-inf",
@@ -577,7 +623,10 @@ class TestConfigNumbers:
             "fig3b-axis-40", "analyze-duration-overflow",
             "race-duration-overflow", "axis-max-below-min", "axis-step-zero",
             "log-axis-no-points", "log-axis-min-zero", "channel-both",
-            "channel-neither", "attacker-no-model"])
+            "channel-neither", "attacker-no-model", "attacker-cores-0",
+            "analyze-rate-overflow", "simulate-power-overflow",
+            "sweep-rate-overflow", "n-symbols-0", "seed-negative",
+            "jam-scale-0"])
     def test_named_validation_error(self, tmp_path, capsys, command, path,
                                     value, message):
         payload = _patched({"system": HEADLINE_SYSTEM,
@@ -594,6 +643,22 @@ class TestConfigNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_sweep_rate_writes_no_grid(self, tmp_path, capsys, fmt):
+        # At 1e308 Hz the rates at the corners of fig3a's axes overflow.
+        config = load_config("fig3a")
+        config["system"] |= {
+            "bandwidth_hz": 1e308,
+            "bob_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 12},
+            "eve_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 20}}
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, config),
+                     "--out", str(out), "--format", fmt]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: secrecy rate at bandwidth 1e+308 Hz")
+        assert "not a finite float" in err
+        assert not list(out.glob("grid.*"))
 
     def test_documented_non_numbers_accepted(self, tmp_path):
         system = HEADLINE_SYSTEM | {

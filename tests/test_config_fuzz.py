@@ -1,12 +1,14 @@
-"""Any single-leaf edit of a shipped analyze/race config ends in a
-documented exit code, never a traceback, and every JSON file the run
-writes is standard JSON (no ``Infinity`` or ``NaN``); the echoed
-``config.json`` is held to that whenever the config it read is.
+"""Any single-leaf edit of a shipped config ends in a documented exit
+code, never a traceback, and every JSON file the run writes is standard
+JSON (no ``Infinity`` or ``NaN``); the echoed ``config.json`` is held to
+that whenever the config it read is.
 
-Only ``analyze`` and ``race`` run. Sweep axes and ``n_symbols`` are now
-bounded (``config.MAX_SWEEP_CELLS``, ``config.MAX_SYMBOLS``), but one
-drawn value can still ask for a million-cell sweep or ten million
-symbols, too slow for a tier-1 example.
+``analyze`` and ``race`` run on ``paper-operating-point`` and
+``race-default``, ``sweep`` on ``fig3a`` and ``fig3b`` in both formats, and
+``simulate`` on ``simulate-default`` at 1000 symbols. One drawn value can
+ask for a million-cell sweep or ten million symbols, so the sweep and
+simulate tests lower ``config.MAX_SWEEP_CELLS`` and ``config.MAX_SYMBOLS``:
+such a value then meets the same named budget error, only sooner.
 """
 
 import io
@@ -18,7 +20,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from jkelab import config as cfg
-from jkelab.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
+from jkelab.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 CONFIGS = ("paper-operating-point", "race-default")
 
@@ -96,3 +98,80 @@ def test_single_leaf_edit_exits_cleanly(leaf, value):
         for written in Path(tmp).glob("*/*.json"):
             if echo_strict or written.name != "config.json":
                 _strict_json(written.read_text(encoding="utf-8"))
+
+
+def _run(config: dict, runs, tmp: str) -> None:
+    """Each of ``runs``, ``(output directory, argv)``, on ``config``: it
+    must exit 0, 1, 2 or 3, and every JSON file it writes must be standard
+    JSON, ``config.json`` whenever ``config`` is."""
+    path = Path(tmp) / "config.json"
+    text = json.dumps(config)
+    path.write_text(text, encoding="utf-8")
+    for out, argv in runs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv + ["--config", str(path),
+                                "--out", str(Path(tmp) / out)])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_INFEASIBLE)
+    # config.json echoes the config, so it is standard only if that is.
+    echo_strict = _is_strict_json(text)
+    for written in Path(tmp).glob("*/*.json"):
+        if echo_strict or written.name != "config.json":
+            _strict_json(written.read_text(encoding="utf-8"))
+
+
+SWEEP_LEAVES = [(name, path) for name in ("fig3a", "fig3b")
+                for path in _leaves(cfg.load_config(name))]
+
+
+def _simulate_default() -> dict:
+    config = cfg.load_config("simulate-default")
+    config["simulate"]["n_symbols"] = 1000
+    return config
+
+
+SIMULATE_LEAVES = list(_leaves(_simulate_default()))
+# The same lowered budgets for every example: sized so the shipped
+# sweeps (1271 and 500 cells) and 1000 symbols fit.
+SMALL_BUDGETS = {"MAX_SWEEP_CELLS": 4000, "MAX_SYMBOLS": 4000}
+FUZZ_SETTINGS = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow,
+                           HealthCheck.function_scoped_fixture])
+
+
+def _lower_budgets(monkeypatch) -> None:
+    for name, value in SMALL_BUDGETS.items():
+        monkeypatch.setattr(cfg, name, value)
+
+
+@FUZZ_SETTINGS
+@given(leaf=st.sampled_from(SWEEP_LEAVES), value=JSON_VALUES)
+# A rate that overflowed once reached grid.json as Infinity.
+@example(leaf=("fig3a", ("system",)), value=cfg.load_config("fig3a")["system"] | {
+    "bandwidth_hz": 1e308,
+    "bob_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 12},
+    "eve_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 20}})
+def test_sweep_single_leaf_edit_exits_cleanly(monkeypatch, leaf, value):
+    _lower_budgets(monkeypatch)
+    name, path = leaf
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(_replaced(cfg.load_config(name), path, value),
+             [(fmt, ["sweep", "--format", fmt]) for fmt in ("csv", "json")],
+             tmp)
+
+
+@FUZZ_SETTINGS
+@given(path=st.sampled_from(SIMULATE_LEAVES), value=JSON_VALUES)
+# Each was once reported without its key, after config.json was written.
+@example(path=("simulate", "n_symbols"), value=0)
+@example(path=("simulate", "seed"), value=-1)
+@example(path=("simulate", "jam_scale"), value=0.0)
+# A key this long once reached NumPy's byte generator and overflowed.
+@example(path=("simulate", "key_bits"), value=1e200)
+# The jamming power once overflowed to Infinity in stats.json.
+@example(path=("system", "signal_power"), value=1e300)
+def test_simulate_single_leaf_edit_exits_cleanly(monkeypatch, path, value):
+    _lower_budgets(monkeypatch)
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(_replaced(_simulate_default(), path, value),
+             [("simulate", ["simulate"])], tmp)

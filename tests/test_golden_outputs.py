@@ -1,4 +1,5 @@
-"""Pinned outputs of the analytic commands.
+"""Pinned outputs of the analytic commands, and the byte contracts of the
+grid writers.
 
 Runs ``analyze``, ``sweep`` and ``race`` on the shipped configs and
 compares the sha256 of every output file, and of stdout with the output
@@ -10,13 +11,24 @@ the digests hold for the platform they were recorded on: glibc 2.36 on
 x86-64 with FMA, Python 3.11. ``simulate`` is left out: its statistics
 pass through NumPy reductions, which other NumPy versions may round
 differently.
+
+The grid writers format each shared value once per row or column; the
+plain forms they replaced, ``json.dumps`` of ``grid_to_dict(grid)`` and
+one ``%`` line per cell, are kept below as their oracles, and every grid,
+generated or built by hand, must come out byte-equal to them.
 """
 
 import hashlib
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jkelab import config as cfg, output
 from jkelab.cli import EXIT_OK, main
+from jkelab.secrecy import (RateSweepGrid, SecrecyReport, SnrThreshold,
+                            ThresholdKind, ThresholdSweepGrid,
+                            sweep_min_bob_snr, sweep_rate_vs_snr)
 
 RECORDED = {
     ("analyze", "paper-operating-point", "json"): {
@@ -106,3 +118,164 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, command, config,
     differing = sorted(name for name in expected.keys() | found.keys()
                        if expected.get(name) != found.get(name))
     assert not differing, f"differs from the recorded digest: {differing}"
+
+
+def oracle_json(grid) -> str:
+    return json.dumps(output.grid_to_dict(grid), indent=2, sort_keys=True) + "\n"
+
+
+def oracle_csv(header, template, rows) -> bytes:
+    lines = [",".join(header) + "\r\n"] + [template % row for row in rows]
+    return "".join(lines).encode()
+
+
+def oracle_rate_csv(grid) -> bytes:
+    return oracle_csv(
+        ("bob_snr_db", "eve_snr_db", "rate_bits_per_s", "bob_term_bits",
+         "eve_term_bits", "delta_b", "delta_e", "positive"),
+        "%r,%r,%r,%r,%r,%r,%r,%s\r\n",
+        ((sb, se, cell.rate_bits_per_s, cell.bob_term_bits, cell.eve_term_bits,
+          cell.delta_b, cell.delta_e, "true" if cell.positive else "false")
+         for sb, row in zip(grid.bob_snr_db, grid.cells)
+         for se, cell in zip(grid.eve_snr_db, row)))
+
+
+def oracle_threshold_csv(grid) -> bytes:
+    return oracle_csv(
+        ("jamming_bits_per_symbol", "eve_jitter_s", "kind", "min_bob_snr_db"),
+        "%d,%r,%s,%s\r\n",
+        ((w, jitter, cell.kind.value,
+          "" if cell.snr_db is None else repr(cell.snr_db))
+         for w, row in zip(grid.jamming_bits, grid.cells)
+         for jitter, cell in zip(grid.eve_jitter_s, row)))
+
+
+def assert_written_as_oracles(grid, tmp_path):
+    assert output.dump_json_str(grid) == oracle_json(grid)
+    path = output.write_json(tmp_path / "grid.json", grid)
+    assert path.read_bytes() == oracle_json(grid).encode()
+    if isinstance(grid, RateSweepGrid):
+        path = output.write_rate_grid_csv(grid, tmp_path / "grid.csv")
+        assert path.read_bytes() == oracle_rate_csv(grid)
+    else:
+        path = output.write_threshold_grid_csv(grid, tmp_path / "grid.csv")
+        assert path.read_bytes() == oracle_threshold_csv(grid)
+
+
+# Floats whose repr and JSON spelling are easy to get wrong; each is one
+# object, so a grid drawn from them shares objects across its cells at
+# random, as a sweep does along its rows and columns.
+SPECIAL = (0.0, -0.0, 5e-324, 1e16, 1e+16 + 2.0, -1.5e-7, 123.456,
+           float("inf"), float("-inf"), float("nan"))
+
+
+def _report(values):
+    """A report holding ``values``, its rate last (``positive`` is derived)."""
+    bandwidth, bob_term, eve_term, delta_b, delta_e, rate = values
+    return SecrecyReport(bandwidth, rate, bob_term, eve_term, delta_b, delta_e)
+
+
+def _fresh(value: float) -> float:
+    """An equal float that is not the same object."""
+    return float(repr(value))
+
+
+def _generated_rate_grid():
+    template = cfg.parse_system(cfg.load_config("fig3a"))
+    return sweep_rate_vs_snr(template, [0.0, 7.5, 30.0, 60.0],
+                             [-0.0, 5.0, 40.0, 75.5, 80.0])
+
+
+def _generated_threshold_grid():
+    template = cfg.parse_system(cfg.load_config("fig3b"))
+    return sweep_min_bob_snr(template, [0, 1, 8, 14, 20, 32],
+                             [1e-15, 5e-15, 5e-14, 5e-13, 1e-9])
+
+
+def _unshared(grid: RateSweepGrid) -> RateSweepGrid:
+    """``grid`` with every float of every cell a fresh object."""
+    cells = tuple(tuple(SecrecyReport(*map(_fresh, (
+        c.bandwidth_hz, c.rate_bits_per_s, c.bob_term_bits, c.eve_term_bits,
+        c.delta_b, c.delta_e))) for c in row) for row in grid.cells)
+    return RateSweepGrid(grid.bob_snr_db, grid.eve_snr_db, cells,
+                         grid.zero_crossing_bob_snr_db)
+
+
+def _one_cell_replaced(grid: RateSweepGrid) -> RateSweepGrid:
+    """``grid`` with one inner cell holding other row and column values."""
+    rows = [list(row) for row in grid.cells]
+    rows[2][3] = SecrecyReport(-0.0, float("nan"), 5e-324, float("inf"),
+                               1e16, -0.0)
+    return RateSweepGrid(grid.bob_snr_db, grid.eve_snr_db,
+                         tuple(map(tuple, rows)), grid.zero_crossing_bob_snr_db)
+
+
+def _special_rate_grid():
+    """Shuffled special values in every field, ``None`` crossings."""
+    cells = tuple(tuple(_report([SPECIAL[(7 * i + 3 * j + k) % len(SPECIAL)]
+                                 for k in range(6)])
+                        for j in range(4)) for i in range(3))
+    return RateSweepGrid((-0.0, 5e-324, 1e16), (0.0, 1.5, 2.5, 1e+16),
+                         cells, (None, -0.0, None, float("inf")))
+
+
+def _special_threshold_grid():
+    kinds = ((ThresholdKind.THRESHOLD, 12.5), (ThresholdKind.ALWAYS_POSITIVE, None),
+             (ThresholdKind.INFEASIBLE, None), (ThresholdKind.THRESHOLD, float("inf")),
+             (ThresholdKind.THRESHOLD, -0.0), (ThresholdKind.THRESHOLD, float("nan")),
+             (ThresholdKind.THRESHOLD, 5e-324), (ThresholdKind.THRESHOLD, 1e16),
+             (ThresholdKind.THRESHOLD, float("-inf")))
+    cells = tuple(tuple(SnrThreshold(*kinds[(i + 2 * j) % len(kinds)])
+                        for j in range(5)) for i in range(3))
+    return ThresholdSweepGrid((0, 14, 32), (5e-324, 1e-15, 1e-15 * 3, 1e16, 2.0),
+                              cells)
+
+
+CONTRACT_GRIDS = {
+    "rate-generated": _generated_rate_grid,
+    "rate-unshared": lambda: _unshared(_generated_rate_grid()),
+    "rate-one-cell-replaced": lambda: _one_cell_replaced(_generated_rate_grid()),
+    "rate-special-values": _special_rate_grid,
+    "rate-empty": lambda: RateSweepGrid((), (), (), ()),
+    "rate-empty-and-ragged-rows": lambda: RateSweepGrid(
+        (1.0, 2.0, 3.0), (4.0, 5.0), ((), _special_rate_grid().cells[1],
+                                      _special_rate_grid().cells[0][:1]), (None,)),
+    "threshold-generated": _generated_threshold_grid,
+    "threshold-special-values": _special_threshold_grid,
+    "threshold-empty-row": lambda: ThresholdSweepGrid(
+        (1, 2), (1e-15,), ((), _special_threshold_grid().cells[0][:1])),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_GRIDS)
+def test_grid_writers_match_their_oracles(tmp_path, name):
+    assert_written_as_oracles(CONTRACT_GRIDS[name](), tmp_path)
+
+
+def test_contract_grids_hold_every_threshold_kind():
+    # A physical sweep never meets ALWAYS_POSITIVE; the hand-built grid does.
+    def kinds(grid):
+        return {cell.kind for row in grid.cells for cell in row}
+    assert kinds(_generated_threshold_grid()) == {ThresholdKind.THRESHOLD,
+                                                  ThresholdKind.INFEASIBLE}
+    assert kinds(_special_threshold_grid()) == set(ThresholdKind)
+
+
+@st.composite
+def rate_grids(draw):
+    """A hand-built rate grid whose values come from ``SPECIAL``, so its
+    cells share some float objects with their row and column and not
+    others."""
+    n_rows, n_columns = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    value = st.sampled_from(SPECIAL)
+    cells = tuple(tuple(_report([draw(value) for _ in range(6)])
+                        for _ in range(n_columns)) for _ in range(n_rows))
+    return RateSweepGrid(tuple(draw(value) for _ in range(n_rows)),
+                         tuple(draw(value) for _ in range(n_columns)), cells,
+                         tuple(draw(st.none() | value) for _ in range(n_columns)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=rate_grids())
+def test_drawn_rate_grids_match_their_oracles(tmp_path_factory, grid):
+    assert_written_as_oracles(grid, tmp_path_factory.mktemp("grid"))
