@@ -134,8 +134,6 @@ def cmd_simulate(args) -> int:
     # Fold the effective seed back in so a rerun from the written config
     # reproduces the outputs byte-identically.
     config.setdefault("simulate", {})["seed"] = seed
-    out = _outdir(args)
-    output.write_json(out / "config.json", config)
 
     # Deterministic per-stage seeds from the one user seed.
     stage = np.random.SeedSequence(seed).spawn(4)
@@ -176,10 +174,26 @@ def cmd_simulate(args) -> int:
     }
     if attack is not None:
         stats["storage_attack"] = attack.to_dict()
+    _check_finite(stats)
+    # Only a session that passed every check leaves an output directory.
+    out = _outdir(args)
+    output.write_json(out / "config.json", config)
     output.write_json(out / "stats.json", stats)
     output.write_trace_csv(trace, out / "trace.csv")
     print(f"simulated {sim['n_symbols']} symbols (seed {seed}) -> {out}")
     return EXIT_OK
+
+
+def _check_finite(stats: dict, prefix: str = "") -> None:
+    """Reject a float in ``stats`` that standard JSON cannot hold (an
+    error variance of 0 makes an effective SNR inf), naming the statistic."""
+    for key, value in stats.items():
+        if isinstance(value, dict):
+            _check_finite(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(
+                f"simulated statistic {prefix}{key} is out of range: it is "
+                f"{value!r}, not a finite float")
 
 
 def cmd_race(args) -> int:

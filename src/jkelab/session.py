@@ -202,9 +202,8 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         signal_power_emp, np.subtract(bob_post, clean, out=scratch))
     eve_pre_attack_snr = _effective_snr(
         signal_power_emp, np.subtract(eve_rx, clean, out=scratch))
-    eve_post_attack_snr = _effective_snr(
-        signal_power_emp, np.subtract(eve_post, clean, out=scratch))
-    eve_residual_var = float(np.var(np.subtract(scratch, eve_noise, out=scratch)))
+    eve_post_attack_snr, eve_residual_var = _post_attack(
+        signal_power_emp, eve_post, clean, eve_noise, out=scratch)
     stats = {
         "n_symbols": int(n_symbols),
         "signal_power_emp": signal_power_emp,
@@ -246,13 +245,30 @@ def _effective_snr(signal_power_emp: float, error: np.ndarray) -> float:
     return signal_power_emp / err_var
 
 
+def _post_attack(signal_power_emp: float, eve_post: np.ndarray,
+                 clean: np.ndarray, eve_noise: np.ndarray,
+                 out: np.ndarray) -> tuple:
+    """(post-attack SNR, residual variance) of ``eve_post``, the stored
+    record minus a jamming stream: its error is ``eve_post - clean``, and
+    the residual is what that error holds beyond the eavesdropper's
+    channel noise. ``out`` may be ``eve_post`` itself."""
+    error = np.subtract(eve_post, clean, out=out)
+    snr = _effective_snr(signal_power_emp, error)
+    return snr, float(np.var(np.subtract(error, eve_noise, out=error)))
+
+
 def true_jamming_stream(trace: SimTrace) -> JammingStream:
-    """Regenerate the session's own jamming stream (what the eavesdropper
-    holds once the phase-1 secret finally falls)."""
+    """The session's own jamming stream (what the eavesdropper holds once
+    the phase-1 secret finally falls).
+
+    Regeneration from ``trace.jamming_seed`` is deterministic, so the
+    stream's ``symbols`` are ``trace.jamming`` itself, not a second
+    derivation of the SHAKE-256 stream."""
     w = trace.params.jamming_bits_per_symbol
     if w == 0:
         raise ValueError("session ran without jamming")
-    return jamming_stream(trace.jamming_seed, w, len(trace), trace.jam_scale)
+    return JammingStream(seed=trace.jamming_seed, bits_per_symbol=w,
+                         jam_scale=trace.jam_scale, symbols=trace.jamming)
 
 
 @dataclass(frozen=True)
@@ -275,18 +291,26 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
     With the true stream this is the best possible store-now-decrypt-later
     outcome: everything left beyond channel noise is quantization loss,
     baked in at reception time. A wrong-seed stream only adds power.
+
+    The session has already formed that outcome as ``trace.eve_post``, so
+    for the session's own array (``jamming.symbols is trace.jamming``, as
+    :func:`true_jamming_stream` returns) the report takes its statistics
+    from ``trace.stats``. Any other stream, an equal copy included, is
+    subtracted in full by the same rule.
     """
     if len(jamming.symbols) != len(trace.eve_stored):
         raise ValueError("jamming stream length does not match the trace")
-    # One buffer: the cleaned-up record z', then z' - clean, then what is
-    # left beyond the channel noise.
-    error = trace.eve_stored - jamming.symbols
-    error -= trace.clean_signal
-    post_attack_snr = _effective_snr(trace.stats["signal_power_emp"], error)
-    error -= trace.eve_noise
+    if jamming.symbols is trace.jamming:
+        post_attack_snr = trace.stats["eve_post_attack_snr"]
+        residual_var = trace.stats["eve_residual_var"]
+    else:
+        cleaned = trace.eve_stored - jamming.symbols
+        post_attack_snr, residual_var = _post_attack(
+            trace.stats["signal_power_emp"], cleaned, trace.clean_signal,
+            trace.eve_noise, out=cleaned)
     return EveAttackReport(
         n_symbols=len(trace),
-        residual_var=float(np.var(error)),
+        residual_var=residual_var,
         pre_attack_snr=trace.stats["eve_pre_attack_snr"],
         post_attack_snr=post_attack_snr,
     )

@@ -341,6 +341,24 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("system, message", [
+        ({"jamming_bits_per_symbol": 0, "eve_channel": {"noise_var": 0.0}},
+         "simulated statistic session.eve_pre_attack_snr is out of range: "
+         "it is inf, not a finite float"),
+        ({"signal_power": 1e300},
+         "simulated sample powers at signal power 1e+300 are out of range"),
+    ], ids=["unjammed-noiseless-eve", "signal-power-overflow"])
+    def test_failed_session_writes_nothing(self, tmp_path, capsys, system,
+                                           message):
+        config = load_config("simulate-default")
+        config["system"] |= system
+        config["simulate"]["n_symbols"] = 1000
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
 
 class TestRace:
     def test_headline_point_vs_quantum_preset(self, tmp_path):

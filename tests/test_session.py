@@ -195,6 +195,47 @@ class TestStorageAttack:
         with pytest.raises(ValueError, match="length"):
             eve_storage_attack(trace, short)
 
+    def test_true_stream_is_the_sessions_own(self, headline_params):
+        trace = run_jke_session(headline_params, IDEAL,
+                                KeyMaterial.random(seed=4), 1000, rng_seed=9)
+        stream = true_jamming_stream(trace)
+        assert stream.symbols is trace.jamming
+        assert (stream.seed, stream.bits_per_symbol, stream.jam_scale) == (
+            trace.jamming_seed, 14, trace.jam_scale)
+        fresh = jamming_stream(trace.jamming_seed, 14, len(trace), trace.jam_scale)
+        assert np.array_equal(stream.symbols, fresh.symbols)
+
+    @pytest.mark.parametrize("depth", [math.inf, 150.0, 60.0])
+    @pytest.mark.parametrize("w", [1, 7, 8, 13, 14, 20, 31, 32])
+    def test_own_stream_report_equals_full_subtraction(self, headline_params,
+                                                       w, depth):
+        # A regenerated, equal array is not the session's own, so it takes
+        # the full subtraction; repr tells every float apart bit for bit.
+        params = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
+        trace = run_jke_session(params, CancellationModel(depth),
+                                KeyMaterial.random(seed=4), 10_007,
+                                rng_seed=100 * w)
+        regenerated = jamming_stream(trace.jamming_seed, w, len(trace),
+                                     trace.jam_scale)
+        assert regenerated.symbols is not trace.jamming
+        own = eve_storage_attack(trace, true_jamming_stream(trace))
+        full = eve_storage_attack(trace, regenerated)
+        assert repr(own.to_dict()) == repr(full.to_dict())
+
+    def test_one_jamming_derivation_per_session(self, headline_params,
+                                                monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jamming_stream(*args, **kwargs)
+
+        monkeypatch.setattr("jkelab.session.jamming_stream", counted)
+        trace = run_jke_session(headline_params, IDEAL,
+                                KeyMaterial.random(seed=4), 1000, rng_seed=9)
+        eve_storage_attack(trace, true_jamming_stream(trace))
+        assert len(calls) == 1
+
     def test_stats_recomputable_from_sequences(self, headline_params):
         trace = run_jke_session(headline_params, IDEAL,
                                 KeyMaterial.random(seed=4), 5000, rng_seed=9)
