@@ -97,21 +97,22 @@ def _write_flat_csv(path: Path, payload: dict) -> None:
 def cmd_sweep(args) -> int:
     config, params = _load(args)
     which, axes = cfg.parse_sweep(config, args.which)
-
-    out = _outdir(args)
-    config.setdefault("sweep", {})["which"] = which
-    output.write_json(out / "config.json", config)
     if which == "fig3a":
         grid = sweep_rate_vs_snr(params, axes["bob_snr_db"], axes["eve_snr_db"])
-        if args.format == "csv":
-            output.write_rate_grid_csv(grid, out / "grid.csv")
-            output.write_rate_contour_csv(grid, out / "zero_crossing.csv")
     else:
         grid = sweep_min_bob_snr(params, axes["jamming_bits"],
                                  axes["eve_jitter_s"])
-        if args.format == "csv":
-            output.write_threshold_grid_csv(grid, out / "grid.csv")
-    if args.format == "json":
+
+    # Only a grid that was built leaves an output directory.
+    out = _outdir(args)
+    config.setdefault("sweep", {})["which"] = which
+    output.write_json(out / "config.json", config)
+    if args.format == "csv" and which == "fig3a":
+        output.write_rate_grid_csv(grid, out / "grid.csv")
+        output.write_rate_contour_csv(grid, out / "zero_crossing.csv")
+    elif args.format == "csv":
+        output.write_threshold_grid_csv(grid, out / "grid.csv")
+    else:
         output.write_json(out / "grid.json", grid)
     output.write_json(out / "sweep.json", {
         "which": which, "system": cfg.system_to_dict(params), "axes": axes})
@@ -200,28 +201,27 @@ def cmd_race(args) -> int:
     config, params = _load(args)
     attacker, trend = cfg.parse_race(config)
     report, timing, timing_error = _exchange(config, params)
+    payload = {"system": cfg.system_to_dict(params),
+               "secrecy": report.to_dict()}
+    if timing is None:
+        payload["error"] = timing_error
+    else:
+        scenario = race.race_verdict(timing.duration_s, attacker)
+        payload |= {
+            "timing": timing.to_dict(),
+            "race": scenario.to_dict(),
+            "eve_adc_trend": _trend_annotation(trend, params),
+            "caveats": [race.TREND_CAVEAT],
+        }
 
+    # Only a race that was decided, or found undecidable, leaves an output
+    # directory.
     out = _outdir(args)
     output.write_json(out / "config.json", config)
+    output.write_json(out / "race.json", payload)
     if timing is None:
-        output.write_json(out / "race.json", {
-            "system": cfg.system_to_dict(params),
-            "error": timing_error,
-            "secrecy": report.to_dict(),
-        })
         print(f"race undecidable: {timing_error}")
         return EXIT_INFEASIBLE
-
-    scenario = race.race_verdict(timing.duration_s, attacker)
-    payload = {
-        "system": cfg.system_to_dict(params),
-        "secrecy": report.to_dict(),
-        "timing": timing.to_dict(),
-        "race": scenario.to_dict(),
-        "eve_adc_trend": _trend_annotation(trend, params),
-        "caveats": [race.TREND_CAVEAT],
-    }
-    output.write_json(out / "race.json", payload)
     print(f"t_j = {timing.duration_s:.6g} s vs attacker "
           f"{attacker.name} ({attacker.t_qc_s if attacker.t_qc_s is not None else 'unknown'} s)"
           f" -> {scenario.verdict.value}")

@@ -11,11 +11,10 @@ JSON byte contract: a file is ``json.dumps(payload, indent=2,
 sort_keys=True)`` plus a newline, and a sweep grid is written as that of
 ``grid_to_dict(grid)``, with ``Infinity``, ``-Infinity`` and ``NaN`` for
 non-finite floats. A grid's cells skip ``json.dumps``: each is filled into
-a ``%`` template, and a rate sweep, which builds every cell of a row (and
-of a column) from the same float objects, has each value a cell shares
-with its row (bandwidth, Bob's term, delta_b) or its column (Eve's term,
-delta_e) formatted once per row or column, in the JSON as in the CSV; so
-are the CSV's axis values.
+a ``%`` template. A rate sweep keeps its cells as ``RateCells``, a report
+per row and per column plus the rates, so the values a cell takes from its
+row (bandwidth, Bob's term, delta_b) or its column (Eve's term, delta_e)
+are formatted once per row or column, in the JSON as in the CSV.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .secrecy import RateSweepGrid, ThresholdKind, ThresholdSweepGrid
+from .secrecy import RateCells, RateSweepGrid, ThresholdKind, ThresholdSweepGrid
 
 if TYPE_CHECKING:  # session loads NumPy; only write_trace_csv needs it
     from .session import SimTrace
@@ -71,53 +70,39 @@ def _blank_none(value) -> str:
 
 
 def _rate_texts(grid: RateSweepGrid, bob_axis, eve_axis, row_text, column_text):
-    """Each row of ``grid`` as a list of ``(row text, column text, cell)``.
+    """Each row of ``grid`` as a list of ``(row text, column text, rate)``.
 
-    ``row_text(bob, cell)`` formats the values ``cell`` shares with its row
-    (bandwidth, Bob's term, delta_b) and ``column_text(eve, cell)`` those
-    it shares with its column (Eve's term, delta_e); ``bob`` and ``eve``
+    ``row_text(bob, report)`` formats the values a cell takes from its row
+    (bandwidth, Bob's term, delta_b) and ``column_text(eve, report)`` those
+    it takes from its column (Eve's term, delta_e); ``bob`` and ``eve``
     come from the axes, zipped with the rows and with each row's cells.
-    Each text is formatted for the first cell of its row or column and
-    reused for every cell holding those same float objects, as every cell
-    of a sweep does; a cell holding any other object gets its own."""
-    columns = []  # (text, eve_term_bits, delta_e) per column
-    for bob, row in zip(bob_axis, grid.cells):
-        texts = []
-        if row:
-            lead = row[0]
-            row_shared = row_text(bob, lead)
-            bandwidth, bob_term, delta_b = (lead.bandwidth_hz, lead.bob_term_bits,
-                                            lead.delta_b)
-        for j, (eve, cell) in enumerate(zip(eve_axis, row)):
-            if j == len(columns):
-                columns.append((column_text(eve, cell), cell.eve_term_bits,
-                                cell.delta_e))
-            column_shared, eve_term, delta_e = columns[j]
-            texts.append((
-                row_shared if (cell.bandwidth_hz is bandwidth
-                               and cell.bob_term_bits is bob_term
-                               and cell.delta_b is delta_b)
-                else row_text(bob, cell),
-                column_shared if (cell.eve_term_bits is eve_term
-                                  and cell.delta_e is delta_e)
-                else column_text(eve, cell),
-                cell))
-        yield texts
+    A sweep's :class:`RateCells` is formatted from its reports, once per
+    row and once per column; any other grid from each cell's own values."""
+    cells = grid.cells
+    if isinstance(cells, RateCells):
+        columns = [column_text(eve, report)
+                   for eve, report in zip(eve_axis, cells.eve_reports)]
+        for bob, report, rates in zip(bob_axis, cells.bob_reports, cells.rates):
+            yield list(zip(repeat(row_text(bob, report)), columns, rates))
+        return
+    for bob, row in zip(bob_axis, cells):
+        yield [(row_text(bob, cell), column_text(eve, cell), cell.rate_bits_per_s)
+               for eve, cell in zip(eve_axis, row)]
 
 
 def write_rate_grid_csv(grid: RateSweepGrid, path) -> Path:
     """One row per cell, legitimate-SNR index outer."""
-    def row_text(bob, cell):
-        return repr(bob), repr(cell.bob_term_bits), repr(cell.delta_b)
+    def row_text(bob, report):
+        return repr(bob), repr(report.bob_term_bits), repr(report.delta_b)
 
-    def column_text(eve, cell):
-        return repr(eve), repr(cell.eve_term_bits), repr(cell.delta_e)
+    def column_text(eve, report):
+        return repr(eve), repr(report.eve_term_bits), repr(report.delta_e)
 
     texts = _rate_texts(grid, grid.bob_snr_db, grid.eve_snr_db,
                         row_text, column_text)
-    rows = ((sb, se, cell.rate_bits_per_s, bob_term, eve_term, delta_b,
-             delta_e, "true" if cell.positive else "false")
-            for (sb, bob_term, delta_b), (se, eve_term, delta_e), cell
+    rows = ((sb, se, rate, bob_term, eve_term, delta_b, delta_e,
+             "true" if rate > 0 else "false")
+            for (sb, bob_term, delta_b), (se, eve_term, delta_e), rate
             in chain.from_iterable(texts))
     return _write_csv(path, ("bob_snr_db", "eve_snr_db", "rate_bits_per_s",
                              "bob_term_bits", "eve_term_bits", "delta_b",
@@ -134,9 +119,13 @@ def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
                       "%r,%s\r\n", rows)
 
 
+# Read once per cell: a dict lookup, not the Enum's ``value`` descriptor.
+_KIND_TEXT = {kind: kind.value for kind in ThresholdKind}
+
+
 def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
     jitters = [repr(jitter) for jitter in grid.eve_jitter_s]
-    rows = ((w, jitter, cell.kind.value, _blank_none(cell.snr_db))
+    rows = ((w, jitter, _KIND_TEXT[cell.kind], _blank_none(cell.snr_db))
             for w, row in zip(map("%d".__mod__, grid.jamming_bits), grid.cells)
             for jitter, cell in zip(jitters, row))
     return _write_csv(path, ("jamming_bits_per_symbol", "eve_jitter_s",
@@ -147,7 +136,8 @@ def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
 def grid_to_dict(grid: RateSweepGrid | ThresholdSweepGrid) -> dict:
     """A sweep grid as JSON-ready data: each axis and the other fields as
     lists, each cell through its ``to_dict()``."""
-    out = {field.name: list(getattr(grid, field.name)) for field in fields(grid)}
+    out = {field.name: list(getattr(grid, field.name)) for field in fields(grid)
+           if field.name != "cells"}
     out["cells"] = [[cell.to_dict() for cell in row] for row in grid.cells]
     return out
 
@@ -173,7 +163,7 @@ _RATE_ROW = ('{\n        "bandwidth_hz": %s,\n        "bob_term_bits": %s,'
 _RATE_COLUMN = '        "delta_e": %s,\n        "eve_term_bits": %s,\n'
 _RATE_CELL = '%s%s        "positive": %s,\n        "rate_bits_per_s": %s\n      }'
 _THRESHOLD_CELL = '{\n        "kind": %s,\n        "snr_db": %s\n      }'
-_KIND_JSON = {kind: json.dumps(kind.value) for kind in ThresholdKind}
+_KIND_JSON = {kind: json.dumps(text) for kind, text in _KIND_TEXT.items()}
 
 
 def _json_row(cells: list) -> str:
@@ -182,20 +172,20 @@ def _json_row(cells: list) -> str:
 
 
 def _rate_rows_json(grid: RateSweepGrid) -> list:
-    def row_text(_, cell):
-        return _RATE_ROW % (_json_scalar(cell.bandwidth_hz),
-                            _json_scalar(cell.bob_term_bits),
-                            _json_scalar(cell.delta_b))
+    def row_text(_, report):
+        return _RATE_ROW % (_json_scalar(report.bandwidth_hz),
+                            _json_scalar(report.bob_term_bits),
+                            _json_scalar(report.delta_b))
 
-    def column_text(_, cell):
-        return _RATE_COLUMN % (_json_scalar(cell.delta_e),
-                               _json_scalar(cell.eve_term_bits))
+    def column_text(_, report):
+        return _RATE_COLUMN % (_json_scalar(report.delta_e),
+                               _json_scalar(report.eve_term_bits))
 
     endless = repeat(None)  # the JSON writes every cell, axes or not
     return [_json_row([_RATE_CELL % (row_shared, column_shared,
-                                     "true" if cell.positive else "false",
-                                     _json_scalar(cell.rate_bits_per_s))
-                       for row_shared, column_shared, cell in row])
+                                     "true" if rate > 0 else "false",
+                                     _json_scalar(rate))
+                       for row_shared, column_shared, rate in row])
             for row in _rate_texts(grid, endless, endless, row_text, column_text)]
 
 

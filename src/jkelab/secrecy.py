@@ -14,6 +14,7 @@ implemented exactly as stated, not "corrected".
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
@@ -46,8 +47,7 @@ class SecrecyReport:
         return self.rate_bits_per_s > 0
 
     def to_dict(self) -> dict:
-        # Field by field, not vars(self): a sweep grid holds one report
-        # per cell, and slots keep each one without an instance __dict__.
+        # Field by field: slots keep a report without an instance __dict__.
         out = dict(zip(_REPORT_FIELDS, _report_values(self)))
         out["positive"] = self.positive
         return out
@@ -205,15 +205,45 @@ def _check_axis(name: str, values) -> tuple:
     return vals
 
 
+@dataclass(frozen=True, slots=True)
+class RateCells(Sequence):
+    """A swept rate grid's cells as its factors: Bob's report per row, Eve's
+    per column, and the rates. ``cells[i][j]`` is the report with the rate
+    ``rates[i][j]`` and the row's and column's other values; each row is
+    built as a tuple of reports only when it is read."""
+
+    bob_reports: tuple
+    eve_reports: tuple
+    rates: tuple  # rates[i][j]: bandwidth * (bob term i - eve term j)
+
+    def _row(self, bob: SecrecyReport, rates: tuple) -> tuple:
+        return tuple([SecrecyReport(bob.bandwidth_hz, rate, bob.bob_term_bits,
+                                    eve.eve_term_bits, bob.delta_b, eve.delta_e)
+                      for eve, rate in zip(self.eve_reports, rates)])
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._row, self.bob_reports[index],
+                             self.rates[index]))
+        return self._row(self.bob_reports[index], self.rates[index])
+
+
 @dataclass(frozen=True)
 class RateSweepGrid:
     """Secrecy-rate reports over a (legitimate SNR x eavesdropper SNR)
     grid, plus the interpolated zero-rate crossing per eavesdropper-SNR
-    column (None where the rate never turns positive on the axis)."""
+    column (None where the rate never turns positive on the axis).
+
+    ``cells`` is any sequence of rows of reports; :func:`sweep_rate_vs_snr`
+    builds it as :class:`RateCells`, one report per row and per column
+    and a matrix of rates, which the grid writers format directly."""
 
     bob_snr_db: tuple
     eve_snr_db: tuple
-    cells: tuple  # cells[i][j] -> SecrecyReport at (bob_snr_db[i], eve_snr_db[j])
+    cells: Sequence  # cells[i][j] -> SecrecyReport at (bob_snr_db[i], eve_snr_db[j])
     zero_crossing_bob_snr_db: tuple  # one entry per eve_snr_db column
 
 
@@ -231,7 +261,9 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
     """Evaluate the secrecy rate over a rectangular SNR grid, legitimate-SNR
     index outer. Only the noise varies, so each log term is evaluated once
     per axis point (first row, then first column: the order a per-cell loop
-    meets them) and each cell combines them as :func:`secrecy_rate` does."""
+    meets them) and each cell's rate combines them as :func:`secrecy_rate`
+    does. The grid keeps those reports and the rates as :class:`RateCells`
+    and builds no report per cell."""
     bob_axis = _check_axis("bob SNR", bob_snr_db)
     eve_axis = _check_axis("eve SNR", eve_snr_db)
     p = template.signal_power
@@ -252,16 +284,14 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
     eve_terms = [e.eve_term_bits for e in eve_reports]
     _finite_rate(template.bandwidth_hz, max(bob_terms), min(eve_terms))
     _finite_rate(template.bandwidth_hz, min(bob_terms), max(eve_terms))
-    rows = tuple(
-        tuple(SecrecyReport(b.bandwidth_hz,
-                            b.bandwidth_hz * (b.bob_term_bits - e.eve_term_bits),
-                            b.bob_term_bits, e.eve_term_bits, b.delta_b, e.delta_e)
-              for e in eve_reports)
-        for b in bob_reports)
-    crossings = tuple(
-        _zero_crossing(bob_axis, [cell.rate_bits_per_s for cell in column])
-        for column in zip(*rows))
-    return RateSweepGrid(bob_axis, eve_axis, rows, crossings)
+    rates = tuple(
+        tuple([b.bandwidth_hz * (bob_term - eve_term) for eve_term in eve_terms])
+        for b, bob_term in zip(bob_reports, bob_terms))
+    crossings = tuple(_zero_crossing(bob_axis, column)
+                      for column in zip(*rates))
+    return RateSweepGrid(bob_axis, eve_axis,
+                         RateCells(tuple(bob_reports), tuple(eve_reports), rates),
+                         crossings)
 
 
 def _zero_crossing(snr_values, rates):

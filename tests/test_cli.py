@@ -216,6 +216,19 @@ class TestSweep:
               "--out", str(out2)])
         assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys, fmt):
+        # 3084 dB is the first Eve SNR on the axis whose noise variance is
+        # not a positive finite float.
+        config = load_config("fig3a")
+        config["sweep"]["eve_snr_db"] = {"min": 0, "max": 4000, "step": 2}
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, config),
+                     "--out", str(out), "--format", fmt]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "error: SNR of 3084.0 dB is out of range")
+        assert not out.exists()
+
 
 SIM_BLOCK = {
     "n_symbols": 2000,
@@ -413,6 +426,16 @@ class TestRace:
             assert main(["race", "--config", cfg, "--out", str(out)]) == EXIT_OK
             race_json.append((out / "race.json").read_bytes())
         assert race_json[0] == race_json[1]
+
+    def test_failed_trend_writes_nothing(self, tmp_path, capsys):
+        config = load_config("race-default")
+        config["race"]["trend"]["doubling_period_years"] = 1e308
+        out = tmp_path / "race"
+        assert main(["race", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: the jitter trend reaches 5e-15 s in no finite year\n")
+        assert not out.exists()
 
     def test_classical_preset_with_cores(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,7 +1,8 @@
 """Any single-leaf edit of a shipped config ends in a documented exit
 code, never a traceback, and every JSON file the run writes is standard
 JSON (no ``Infinity`` or ``NaN``); the echoed ``config.json`` is held to
-that whenever the config it read is.
+that whenever the config it read is. A run that exits with a validation
+error leaves no output directory.
 
 ``analyze`` and ``race`` run on ``paper-operating-point`` and
 ``race-default``, ``sweep`` on ``fig3a`` and ``fig3b`` in both formats, and
@@ -82,6 +83,9 @@ def _replaced(config: dict, path: tuple, value) -> dict:
 @given(leaf=st.sampled_from(LEAVES), value=JSON_VALUES)
 # An exchange duration that overflowed once reached race.json as Infinity.
 @example(leaf=("race-default", ("efficiency",)), value=5e-324)
+# A trend that never reaches Eve's jitter once left a lone config.json.
+@example(leaf=("race-default", ("race", "trend", "doubling_period_years")),
+         value=1e308)
 def test_single_leaf_edit_exits_cleanly(leaf, value):
     name, path = leaf
     with tempfile.TemporaryDirectory() as tmp:
@@ -89,10 +93,12 @@ def test_single_leaf_edit_exits_cleanly(leaf, value):
         text = json.dumps(_replaced(cfg.load_config(name), path, value))
         config.write_text(text, encoding="utf-8")
         for command in ("analyze", "race"):
+            out = Path(tmp) / command
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main([command, "--config", str(config),
-                             "--out", str(Path(tmp) / command)])
+                             "--out", str(out)])
             assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE)
+            assert code != EXIT_VALIDATION or not out.exists()
         # config.json echoes the config, so it is standard only if that is.
         echo_strict = _is_strict_json(text)
         for written in Path(tmp).glob("*/*.json"):
@@ -102,16 +108,18 @@ def test_single_leaf_edit_exits_cleanly(leaf, value):
 
 def _run(config: dict, runs, tmp: str) -> None:
     """Each of ``runs``, ``(output directory, argv)``, on ``config``: it
-    must exit 0, 1, 2 or 3, and every JSON file it writes must be standard
-    JSON, ``config.json`` whenever ``config`` is."""
+    must exit 0, 1, 2 or 3, leave no output directory when it exits 1, and
+    every JSON file it writes must be standard JSON, ``config.json``
+    whenever ``config`` is."""
     path = Path(tmp) / "config.json"
     text = json.dumps(config)
     path.write_text(text, encoding="utf-8")
     for out, argv in runs:
+        out = Path(tmp) / out
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = main(argv + ["--config", str(path),
-                                "--out", str(Path(tmp) / out)])
+            code = main(argv + ["--config", str(path), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_INFEASIBLE)
+        assert code != EXIT_VALIDATION or not out.exists()
     # config.json echoes the config, so it is standard only if that is.
     echo_strict = _is_strict_json(text)
     for written in Path(tmp).glob("*/*.json"):
@@ -151,6 +159,10 @@ def _lower_budgets(monkeypatch) -> None:
     "bandwidth_hz": 1e308,
     "bob_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 12},
     "eve_adc": {"aperture_jitter_s": 1e-15, "explicit_bits": 20}})
+# An SNR whose noise variance is out of range (3084 dB) once left a lone
+# config.json; the axis stops short of 4000 dB to stay within the budget.
+@example(leaf=("fig3a", ("sweep", "eve_snr_db")),
+         value={"min": 3000, "max": 3100, "step": 2})
 def test_sweep_single_leaf_edit_exits_cleanly(monkeypatch, leaf, value):
     _lower_budgets(monkeypatch)
     name, path = leaf

@@ -8,9 +8,11 @@ from jkelab import (AdcSpec, NoPositiveSecrecyError, SecrecyReport,
                     SystemParams, ThresholdKind, ValidationError,
                     jke_duration, min_bob_snr_for_positive_rs, secrecy_rate,
                     sweep_min_bob_snr, sweep_rate_vs_snr)
+from jkelab import secrecy
 from jkelab.adc import TWO_PI_E
 
 from conftest import HEADLINE_POINT
+from test_sweep_reference import reference_rate_grid
 
 # frozen from a 50-digit arbitrary-precision evaluation of the full bound
 HEADLINE_RATE = 22222131.2379162
@@ -265,6 +267,42 @@ class TestRateSweep:
         # contour monotone in the eavesdropper SNR
         indices = [i for i in first_positive if i is not None]
         assert all(b >= a for a, b in zip(indices, indices[1:]))
+
+    def test_builds_one_report_per_row_and_column(self, headline_params,
+                                                  monkeypatch):
+        built = []
+
+        def counting_report(*values, report=secrecy.SecrecyReport):
+            built.append(values)
+            return report(*values)
+
+        monkeypatch.setattr(secrecy, "SecrecyReport", counting_report)
+        grid = sweep_rate_vs_snr(headline_params,
+                                 [0.4 * i for i in range(150)],
+                                 [0.4 * j for j in range(200)])
+        assert len(built) <= 150 + 200
+        # Reading a row builds that row's 200 reports, and only those.
+        assert len(grid.cells[7]) == 200
+        assert len(built) <= 150 + 200 + 200
+
+    def test_cells_read_as_the_per_cell_grid(self, headline_params):
+        bob_axis, eve_axis = [0.0, 12.5, 32.0, 60.0], [20.0, 50.0, 80.0]
+        grid = sweep_rate_vs_snr(headline_params, bob_axis, eve_axis)
+        cells = grid.cells
+        expected, _ = reference_rate_grid(headline_params, bob_axis, eve_axis)
+        assert len(cells) == len(expected) == 4
+        assert repr(tuple(cells)) == repr(expected)
+        assert repr([cells[i] for i in range(-4, 4)]) == repr(
+            [expected[i] for i in range(-4, 4)])
+        assert repr(cells[2][1]) == repr(expected[2][1])
+        for part in (slice(1, 3), slice(None, None, -2), slice(3, 9),
+                     slice(5, 9)):
+            assert repr(cells[part]) == repr(expected[part])
+        with pytest.raises(IndexError):
+            cells[4]
+        assert grid == sweep_rate_vs_snr(headline_params, bob_axis, eve_axis)
+        assert hash(grid) == hash(sweep_rate_vs_snr(headline_params, bob_axis,
+                                                    eve_axis))
 
     def test_empty_axis_rejected(self, headline_params):
         with pytest.raises(ValidationError, match="non-empty"):
