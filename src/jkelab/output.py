@@ -11,21 +11,22 @@ JSON byte contract: a file is ``json.dumps(payload, indent=2,
 sort_keys=True)`` plus a newline, and a sweep grid is written as that of
 ``grid_to_dict(grid)``, with ``Infinity``, ``-Infinity`` and ``NaN`` for
 non-finite floats. A grid's cells skip ``json.dumps``: each is filled into
-a ``%`` template. A rate sweep keeps its cells as ``RateCells``, a report
-per row and per column plus the rates, so the values a cell takes from its
-row (bandwidth, Bob's term, delta_b) or its column (Eve's term, delta_e)
-are formatted once per row or column, in the JSON as in the CSV.
+a ``%`` template. A rate grid's cells are ``RateCells``, a report per row
+and per column plus the rates, so the values a cell takes from its row
+(bandwidth, Bob's term, delta_b) or its column (Eve's term, delta_e) are
+formatted once per row or column and only the rate per cell, in the JSON
+as in the CSV.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields, replace
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .secrecy import RateCells, RateSweepGrid, ThresholdKind, ThresholdSweepGrid
+from .secrecy import RateSweepGrid, ThresholdKind, ThresholdSweepGrid
 
 if TYPE_CHECKING:  # session loads NumPy; only write_trace_csv needs it
     from .session import SimTrace
@@ -69,45 +70,27 @@ def _blank_none(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _rate_texts(grid: RateSweepGrid, bob_axis, eve_axis, row_text, column_text):
-    """Each row of ``grid`` as a list of ``(row text, column text, rate)``.
-
-    ``row_text(bob, report)`` formats the values a cell takes from its row
-    (bandwidth, Bob's term, delta_b) and ``column_text(eve, report)`` those
-    it takes from its column (Eve's term, delta_e); ``bob`` and ``eve``
-    come from the axes, zipped with the rows and with each row's cells.
-    A sweep's :class:`RateCells` is formatted from its reports, once per
-    row and once per column; any other grid from each cell's own values."""
+def _rate_csv_rows(grid: RateSweepGrid):
+    """Each cell's CSV row: the row's and the column's values formatted once,
+    the rate per cell."""
     cells = grid.cells
-    if isinstance(cells, RateCells):
-        columns = [column_text(eve, report)
-                   for eve, report in zip(eve_axis, cells.eve_reports)]
-        for bob, report, rates in zip(bob_axis, cells.bob_reports, cells.rates):
-            yield list(zip(repeat(row_text(bob, report)), columns, rates))
-        return
-    for bob, row in zip(bob_axis, cells):
-        yield [(row_text(bob, cell), column_text(eve, cell), cell.rate_bits_per_s)
-               for eve, cell in zip(eve_axis, row)]
+    columns = [(repr(se), repr(eve.eve_term_bits), repr(eve.delta_e))
+               for se, eve in zip(grid.eve_snr_db, cells.eve_reports)]
+    for bob_snr, bob, rates in zip(grid.bob_snr_db, cells.bob_reports,
+                                   cells.rates):
+        sb, bob_term, delta_b = (repr(bob_snr), repr(bob.bob_term_bits),
+                                 repr(bob.delta_b))
+        for (se, eve_term, delta_e), rate in zip(columns, rates):
+            yield (sb, se, rate, bob_term, eve_term, delta_b, delta_e,
+                   "true" if rate > 0 else "false")
 
 
 def write_rate_grid_csv(grid: RateSweepGrid, path) -> Path:
     """One row per cell, legitimate-SNR index outer."""
-    def row_text(bob, report):
-        return repr(bob), repr(report.bob_term_bits), repr(report.delta_b)
-
-    def column_text(eve, report):
-        return repr(eve), repr(report.eve_term_bits), repr(report.delta_e)
-
-    texts = _rate_texts(grid, grid.bob_snr_db, grid.eve_snr_db,
-                        row_text, column_text)
-    rows = ((sb, se, rate, bob_term, eve_term, delta_b, delta_e,
-             "true" if rate > 0 else "false")
-            for (sb, bob_term, delta_b), (se, eve_term, delta_e), rate
-            in chain.from_iterable(texts))
     return _write_csv(path, ("bob_snr_db", "eve_snr_db", "rate_bits_per_s",
                              "bob_term_bits", "eve_term_bits", "delta_b",
                              "delta_e", "positive"),
-                      "%s,%s,%r,%s,%s,%s,%s,%s\r\n", rows)
+                      "%s,%s,%r,%s,%s,%s,%s,%s\r\n", _rate_csv_rows(grid))
 
 
 def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
@@ -172,21 +155,20 @@ def _json_row(cells: list) -> str:
 
 
 def _rate_rows_json(grid: RateSweepGrid) -> list:
-    def row_text(_, report):
-        return _RATE_ROW % (_json_scalar(report.bandwidth_hz),
-                            _json_scalar(report.bob_term_bits),
-                            _json_scalar(report.delta_b))
-
-    def column_text(_, report):
-        return _RATE_COLUMN % (_json_scalar(report.delta_e),
-                               _json_scalar(report.eve_term_bits))
-
-    endless = repeat(None)  # the JSON writes every cell, axes or not
-    return [_json_row([_RATE_CELL % (row_shared, column_shared,
-                                     "true" if rate > 0 else "false",
-                                     _json_scalar(rate))
-                       for row_shared, column_shared, rate in row])
-            for row in _rate_texts(grid, endless, endless, row_text, column_text)]
+    cells = grid.cells
+    columns = [_RATE_COLUMN % (_json_scalar(eve.delta_e),
+                               _json_scalar(eve.eve_term_bits))
+               for eve in cells.eve_reports]
+    rows = []
+    for bob, rates in zip(cells.bob_reports, cells.rates):
+        row = _RATE_ROW % (_json_scalar(bob.bandwidth_hz),
+                           _json_scalar(bob.bob_term_bits),
+                           _json_scalar(bob.delta_b))
+        rows.append(_json_row([_RATE_CELL % (row, column,
+                                             "true" if rate > 0 else "false",
+                                             _json_scalar(rate))
+                               for column, rate in zip(columns, rates)]))
+    return rows
 
 
 def _threshold_rows_json(grid: ThresholdSweepGrid) -> list:

@@ -145,9 +145,6 @@ class KeyMaterial:
         buf[index // 8] ^= 0x80 >> (index % 8)
         return KeyMaterial(bytes(buf))
 
-    def to_int(self) -> int:
-        return int.from_bytes(self.bits, "big")
-
 
 @dataclass(frozen=True)
 class SystemParams:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
-from operator import attrgetter
 
 from . import adc
 from .params import SnrPoint, SystemParams, ValidationError, snr_to_noise_var
@@ -47,14 +46,7 @@ class SecrecyReport:
         return self.rate_bits_per_s > 0
 
     def to_dict(self) -> dict:
-        # Field by field: slots keep a report without an instance __dict__.
-        out = dict(zip(_REPORT_FIELDS, _report_values(self)))
-        out["positive"] = self.positive
-        return out
-
-
-_REPORT_FIELDS = tuple(field.name for field in fields(SecrecyReport))
-_report_values = attrgetter(*_REPORT_FIELDS)
+        return asdict(self) | {"positive": self.positive}
 
 
 @dataclass(frozen=True)
@@ -237,13 +229,12 @@ class RateSweepGrid:
     grid, plus the interpolated zero-rate crossing per eavesdropper-SNR
     column (None where the rate never turns positive on the axis).
 
-    ``cells`` is any sequence of rows of reports; :func:`sweep_rate_vs_snr`
-    builds it as :class:`RateCells`, one report per row and per column
+    ``cells`` is a :class:`RateCells`: one report per row and per column
     and a matrix of rates, which the grid writers format directly."""
 
     bob_snr_db: tuple
     eve_snr_db: tuple
-    cells: Sequence  # cells[i][j] -> SecrecyReport at (bob_snr_db[i], eve_snr_db[j])
+    cells: RateCells  # cells[i][j] -> SecrecyReport at (bob_snr_db[i], eve_snr_db[j])
     zero_crossing_bob_snr_db: tuple  # one entry per eve_snr_db column
 
 

@@ -12,22 +12,24 @@ x86-64 with FMA, Python 3.11. ``simulate`` is left out: its statistics
 pass through NumPy reductions, which other NumPy versions may round
 differently.
 
-The grid writers format each shared value once per row or column; the
-plain forms they replaced, ``json.dumps`` of ``grid_to_dict(grid)`` and
-one ``%`` line per cell, are kept below as their oracles, and every grid,
-generated or built by hand, must come out byte-equal to them.
+A rate grid's cells are ``RateCells`` factors, and its writers format
+each row's and each column's values once from them; the plain forms they
+replaced, ``json.dumps`` of ``grid_to_dict(grid)`` and one ``%`` line per
+cell, are kept below as their oracles, and every grid, swept or built from
+factors by hand, must come out byte-equal to them.
 """
 
 import hashlib
 import json
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jkelab import config as cfg, output
 from jkelab.cli import EXIT_OK, main
-from jkelab.secrecy import (RateSweepGrid, SecrecyReport, SnrThreshold,
-                            ThresholdKind, ThresholdSweepGrid,
+from jkelab.secrecy import (RateCells, RateSweepGrid, SecrecyReport,
+                            SnrThreshold, ThresholdKind, ThresholdSweepGrid,
                             sweep_min_bob_snr, sweep_rate_vs_snr)
 
 RECORDED = {
@@ -163,16 +165,10 @@ def assert_written_as_oracles(grid, tmp_path):
 
 
 # Floats whose repr and JSON spelling are easy to get wrong; each is one
-# object, so a grid drawn from them shares objects across its cells at
-# random, as a sweep does along its rows and columns.
+# object, so a grid drawn from them shares objects between its row reports,
+# column reports and rates at random.
 SPECIAL = (0.0, -0.0, 5e-324, 1e16, 1e+16 + 2.0, -1.5e-7, 123.456,
            float("inf"), float("-inf"), float("nan"))
-
-
-def _report(values):
-    """A report holding ``values``, its rate last (``positive`` is derived)."""
-    bandwidth, bob_term, eve_term, delta_b, delta_e, rate = values
-    return SecrecyReport(bandwidth, rate, bob_term, eve_term, delta_b, delta_e)
 
 
 def _fresh(value: float) -> float:
@@ -193,30 +189,34 @@ def _generated_threshold_grid():
 
 
 def _unshared(grid: RateSweepGrid) -> RateSweepGrid:
-    """``grid`` with every float of every cell a fresh object."""
-    cells = tuple(tuple(SecrecyReport(*map(_fresh, (
-        c.bandwidth_hz, c.rate_bits_per_s, c.bob_term_bits, c.eve_term_bits,
-        c.delta_b, c.delta_e))) for c in row) for row in grid.cells)
-    return RateSweepGrid(grid.bob_snr_db, grid.eve_snr_db, cells,
-                         grid.zero_crossing_bob_snr_db)
+    """``grid`` with every float of its reports and rates a fresh object."""
+    def reports(originals):
+        return tuple(SecrecyReport(*map(_fresh, astuple(report)))
+                     for report in originals)
+
+    cells = grid.cells
+    return replace(grid, cells=RateCells(
+        reports(cells.bob_reports), reports(cells.eve_reports),
+        tuple(tuple(map(_fresh, rates)) for rates in cells.rates)))
 
 
-def _one_cell_replaced(grid: RateSweepGrid) -> RateSweepGrid:
-    """``grid`` with one inner cell holding other row and column values."""
-    rows = [list(row) for row in grid.cells]
-    rows[2][3] = SecrecyReport(-0.0, float("nan"), 5e-324, float("inf"),
-                               1e16, -0.0)
-    return RateSweepGrid(grid.bob_snr_db, grid.eve_snr_db,
-                         tuple(map(tuple, rows)), grid.zero_crossing_bob_snr_db)
+def _special(k: int) -> float:
+    return SPECIAL[k % len(SPECIAL)]
 
 
 def _special_rate_grid():
-    """Shuffled special values in every field, ``None`` crossings."""
-    cells = tuple(tuple(_report([SPECIAL[(7 * i + 3 * j + k) % len(SPECIAL)]
-                                 for k in range(6)])
-                        for j in range(4)) for i in range(3))
-    return RateSweepGrid((-0.0, 5e-324, 1e16), (0.0, 1.5, 2.5, 1e+16),
-                         cells, (None, -0.0, None, float("inf")))
+    """Every special value in every written field, shuffled, and ``None``
+    crossings."""
+    n = len(SPECIAL)
+    bob_reports = tuple(SecrecyReport(*[_special(i + 3 * k) for k in range(6)])
+                        for i in range(n))
+    eve_reports = tuple(SecrecyReport(*[_special(7 * j + k) for k in range(6)])
+                        for j in range(n))
+    rates = tuple(tuple(_special(7 * i + 3 * j) for j in range(n))
+                  for i in range(n))
+    return RateSweepGrid(SPECIAL, SPECIAL[3:] + SPECIAL[:3],
+                         RateCells(bob_reports, eve_reports, rates),
+                         tuple(None if j % 3 else _special(j) for j in range(n)))
 
 
 def _special_threshold_grid():
@@ -234,12 +234,11 @@ def _special_threshold_grid():
 CONTRACT_GRIDS = {
     "rate-generated": _generated_rate_grid,
     "rate-unshared": lambda: _unshared(_generated_rate_grid()),
-    "rate-one-cell-replaced": lambda: _one_cell_replaced(_generated_rate_grid()),
     "rate-special-values": _special_rate_grid,
-    "rate-empty": lambda: RateSweepGrid((), (), (), ()),
-    "rate-empty-and-ragged-rows": lambda: RateSweepGrid(
-        (1.0, 2.0, 3.0), (4.0, 5.0), ((), _special_rate_grid().cells[1],
-                                      _special_rate_grid().cells[0][:1]), (None,)),
+    "rate-empty": lambda: RateSweepGrid((), (), RateCells((), (), ()), ()),
+    "rate-rows-without-columns": lambda: RateSweepGrid(
+        (1.0, 2.0, 3.0), (), RateCells(
+            _special_rate_grid().cells.bob_reports[:3], (), ((), (), ())), ()),
     "threshold-generated": _generated_threshold_grid,
     "threshold-special-values": _special_threshold_grid,
     "threshold-empty-row": lambda: ThresholdSweepGrid(
@@ -263,15 +262,21 @@ def test_contract_grids_hold_every_threshold_kind():
 
 @st.composite
 def rate_grids(draw):
-    """A hand-built rate grid whose values come from ``SPECIAL``, so its
-    cells share some float objects with their row and column and not
+    """A rate grid whose axes and factors come from ``SPECIAL``, so its row
+    reports, column reports and rates share some float objects and not
     others."""
     n_rows, n_columns = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     value = st.sampled_from(SPECIAL)
-    cells = tuple(tuple(_report([draw(value) for _ in range(6)])
-                        for _ in range(n_columns)) for _ in range(n_rows))
-    return RateSweepGrid(tuple(draw(value) for _ in range(n_rows)),
-                         tuple(draw(value) for _ in range(n_columns)), cells,
+
+    def values(n):
+        return tuple(draw(value) for _ in range(n))
+
+    def reports(n):
+        return tuple(SecrecyReport(*values(6)) for _ in range(n))
+
+    cells = RateCells(reports(n_rows), reports(n_columns),
+                      tuple(values(n_columns) for _ in range(n_rows)))
+    return RateSweepGrid(values(n_rows), values(n_columns), cells,
                          tuple(draw(st.none() | value) for _ in range(n_columns)))
 
 

@@ -133,4 +133,4 @@ class TestKeyMaterial:
     def test_bit_array_matches_int(self):
         key = KeyMaterial.random(seed=3)
         bits = "".join(str(b) for b in key.bit_array())
-        assert int(bits, 2) == key.to_int()
+        assert int(bits, 2) == int.from_bytes(key.bits, "big")

@@ -8,7 +8,7 @@ from jkelab import (AdcSpec, NoPositiveSecrecyError, SecrecyReport,
                     SystemParams, ThresholdKind, ValidationError,
                     jke_duration, min_bob_snr_for_positive_rs, secrecy_rate,
                     sweep_min_bob_snr, sweep_rate_vs_snr)
-from jkelab import secrecy
+from jkelab import output, secrecy
 from jkelab.adc import TWO_PI_E
 
 from conftest import HEADLINE_POINT
@@ -56,7 +56,7 @@ class TestSecrecyRate:
                                                       - r.eve_term_bits)
 
     def test_report_keeps_no_instance_dict(self, headline_params):
-        # A sweep grid holds one report per cell.
+        # Reading a row of a sweep grid builds one report per cell.
         report = secrecy_rate(headline_params)
         assert not hasattr(report, "__dict__")
         assert not hasattr(min_bob_snr_for_positive_rs(headline_params),
@@ -269,7 +269,7 @@ class TestRateSweep:
         assert all(b >= a for a, b in zip(indices, indices[1:]))
 
     def test_builds_one_report_per_row_and_column(self, headline_params,
-                                                  monkeypatch):
+                                                  monkeypatch, tmp_path):
         built = []
 
         def counting_report(*values, report=secrecy.SecrecyReport):
@@ -281,6 +281,11 @@ class TestRateSweep:
                                  [0.4 * i for i in range(150)],
                                  [0.4 * j for j in range(200)])
         assert len(built) <= 150 + 200
+        # The writers read the row and column reports; they build none.
+        swept = len(built)
+        output.write_rate_grid_csv(grid, tmp_path / "grid.csv")
+        output.dump_json_str(grid)
+        assert len(built) == swept
         # Reading a row builds that row's 200 reports, and only those.
         assert len(grid.cells[7]) == 200
         assert len(built) <= 150 + 200 + 200
