@@ -206,22 +206,22 @@ def _attacker(block, context: str) -> race.AttackerTimeModel:
 # Block-valued keys that not every command reads are checked as objects
 # here and read by the parse function of the command that uses them.
 ROOT = {"system": (require_object, REQUIRED),
-        "key_bits": (require_integer, 256),
+        "key_bits": (require_integer, KeyMaterial.DEFAULT_BITS),
         "efficiency": (require_number, 0.001),
         "sweep": (require_object, {}),
         "simulate": (require_object, {}),
         "race": (require_object, {})}
 ADC = {"aperture_jitter_s": (require_number, REQUIRED),
-       "explicit_bits": (_or(None, require_number), None)}
+       "explicit_bits": (_or(None, require_number), AdcSpec.explicit_bits)}
 CHANNEL = {"snr_db": (_or("inf", require_number), None),
            "noise_var": (require_number, None)}
 SYSTEM = {
     # validate() names a non-finite bandwidth, signal power or dynamic
     # range factor, so these three may parse to inf.
     "bandwidth_hz": (_number, REQUIRED),
-    "signal_power": (_number, 1.0),
+    "signal_power": (_number, SystemParams.signal_power),
     "jamming_bits_per_symbol": (require_integer, REQUIRED),
-    "dynamic_range_factor": (_number, 2.5),
+    "dynamic_range_factor": (_number, SystemParams.dynamic_range_factor),
     "bob_adc": (_reader(ADC, AdcSpec), REQUIRED),
     "eve_adc": (_reader(ADC, AdcSpec), REQUIRED),
     "bob_channel": (_reader(CHANNEL), REQUIRED),
@@ -262,7 +262,7 @@ ATTACKER = {"preset": (require_string, None),
             "cores": (_bounded(require_integer, 1), 1),
             "name": (require_string, "custom"),
             "t_qc_s": (_or(None, require_number), None),
-            "note": (require_string, "")}
+            "note": (require_string, race.AttackerTimeModel.note)}
 TREND = {key: (require_number, value)
          for key, value in vars(race.DEFAULT_TREND).items()}
 RACE = {"attacker": (_attacker, REQUIRED),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .params import MAX_BITS_PER_SYMBOL, KeyMaterial
+from .params import KeyMaterial, check_jamming_bits
 
 _DOMAIN = b"jkelab-jamming-v1"
 
@@ -37,12 +37,9 @@ def jamming_stream(seed: KeyMaterial, bits_per_symbol: int, n_symbols: int,
                    jam_scale: float) -> JammingStream:
     """Generate ``n_symbols`` jamming symbols of ``bits_per_symbol`` bits
     each, uniform over 2^w levels spanning [-jam_scale, +jam_scale]."""
-    w = bits_per_symbol
-    if not 1 <= w:
+    w = check_jamming_bits(bits_per_symbol, "bits per symbol")
+    if w < 1:
         raise ValueError("bits per symbol must be at least 1")
-    if w > MAX_BITS_PER_SYMBOL:
-        raise ValueError(
-            f"unsupported jamming resolution: w > {MAX_BITS_PER_SYMBOL}")
     if not n_symbols >= 1:
         raise ValueError("symbol count must be at least 1")
     if not 0 < jam_scale < math.inf:

@@ -14,8 +14,8 @@ non-finite floats. A grid's cells skip ``json.dumps``: each is filled into
 a ``%`` template. A rate grid's cells are ``RateCells``, a report per row
 and per column plus the rates, so the values a cell takes from its row
 (bandwidth, Bob's term, delta_b) or its column (Eve's term, delta_e) are
-formatted once per row or column and only the rate per cell, in the JSON
-as in the CSV.
+formatted once per row or column. Per cell, in the JSON as in the CSV, only
+the rate is formatted, and ``positive`` is ``secrecy.positive_rate(rate)``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .secrecy import RateSweepGrid, ThresholdKind, ThresholdSweepGrid
+from .secrecy import (RateSweepGrid, ThresholdKind, ThresholdSweepGrid,
+                      positive_rate)
 
 if TYPE_CHECKING:  # session loads NumPy; only write_trace_csv needs it
     from .session import SimTrace
@@ -38,17 +39,14 @@ _BATCH_ROWS = 1024
 
 def dump_json_str(payload) -> str:
     """``payload``, or a sweep grid, as JSON text (the contract above)."""
-    if isinstance(payload, RateSweepGrid):
-        return _grid_json(rate_grid_to_dict, payload, _rate_rows_json(payload))
-    if isinstance(payload, ThresholdSweepGrid):
-        return _grid_json(threshold_grid_to_dict, payload,
-                          _threshold_rows_json(payload))
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(_grid_json(payload))
 
 
 def write_json(path, payload) -> Path:
+    """Write ``dump_json_str(payload)``, a grid a row of cells at a time."""
     path = Path(path)
-    path.write_text(dump_json_str(payload), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(_grid_json(payload))
     return path
 
 
@@ -82,7 +80,7 @@ def _rate_csv_rows(grid: RateSweepGrid):
                                  repr(bob.delta_b))
         for (se, eve_term, delta_e), rate in zip(columns, rates):
             yield (sb, se, rate, bob_term, eve_term, delta_b, delta_e,
-                   "true" if rate > 0 else "false")
+                   "true" if positive_rate(rate) else "false")
 
 
 def write_rate_grid_csv(grid: RateSweepGrid, path) -> Path:
@@ -154,43 +152,45 @@ def _json_row(cells: list) -> str:
     return "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
 
 
-def _rate_rows_json(grid: RateSweepGrid) -> list:
+def _rate_rows_json(grid: RateSweepGrid):
     cells = grid.cells
     columns = [_RATE_COLUMN % (_json_scalar(eve.delta_e),
                                _json_scalar(eve.eve_term_bits))
                for eve in cells.eve_reports]
-    rows = []
     for bob, rates in zip(cells.bob_reports, cells.rates):
         row = _RATE_ROW % (_json_scalar(bob.bandwidth_hz),
                            _json_scalar(bob.bob_term_bits),
                            _json_scalar(bob.delta_b))
-        rows.append(_json_row([_RATE_CELL % (row, column,
-                                             "true" if rate > 0 else "false",
-                                             _json_scalar(rate))
-                               for column, rate in zip(columns, rates)]))
-    return rows
+        yield _json_row([_RATE_CELL % (
+            row, column, "true" if positive_rate(rate) else "false",
+            _json_scalar(rate)) for column, rate in zip(columns, rates)])
 
 
-def _threshold_rows_json(grid: ThresholdSweepGrid) -> list:
-    return [_json_row([_THRESHOLD_CELL % (_KIND_JSON[cell.kind],
+def _threshold_rows_json(grid: ThresholdSweepGrid):
+    return (_json_row([_THRESHOLD_CELL % (_KIND_JSON[cell.kind],
                                           _json_scalar(cell.snr_db))
-                       for cell in row]) for row in grid.cells]
+                       for cell in row]) for row in grid.cells)
 
 
-def _grid_json(to_dict, grid, rows: list) -> str:
-    """``grid`` as JSON: its other fields through ``to_dict`` and
-    ``json.dumps``, with ``rows``, the JSON text of each row of cells, in
-    place of its empty ``"cells"`` list."""
-    text = json.dumps(to_dict(replace(grid, cells=())), indent=2,
+def _grid_json(payload):
+    """``payload``'s JSON text in pieces: a sweep grid's other fields through
+    ``to_dict`` and ``json.dumps``, then a piece per row of its cells."""
+    if isinstance(payload, RateSweepGrid):
+        to_dict, rows = rate_grid_to_dict, _rate_rows_json(payload)
+    elif isinstance(payload, ThresholdSweepGrid):
+        to_dict, rows = threshold_grid_to_dict, _threshold_rows_json(payload)
+    else:
+        yield json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return
+    text = json.dumps(to_dict(replace(payload, cells=())), indent=2,
                       sort_keys=True) + "\n"
-    if not rows:
-        return text
     head, _, tail = text.partition('"cells": []')
-    # The text around the cells rides on the first and last row, so the
-    # one join below is the only copy of the whole grid.
-    rows[0] = head + '"cells": [\n    ' + rows[0]
-    rows[-1] += "\n  ]" + tail
-    return ",\n    ".join(rows)
+    opening = head + '"cells": [\n    '
+    for row in rows:
+        yield opening + row
+        opening = ",\n    "
+    # A grid without rows keeps its empty "cells" list.
+    yield "\n  ]" + tail if opening == ",\n    " else text
 
 
 _TRACE_COLUMNS = ("clean_signal", "jamming", "bob_noise", "eve_noise",

@@ -150,8 +150,8 @@ class KeyMaterial:
 class SystemParams:
     """Full operating point of the jamming key exchange.
 
-    ``signal_power`` is a normalized unit (1.0 by default); all SNRs and
-    quantizer resolutions are relative to it. ``eve_noise_var = 0`` models
+    ``signal_power`` is a normalized unit; all SNRs and quantizer
+    resolutions are relative to it. ``eve_noise_var = 0`` models
     a noiseless eavesdropper channel. The jamming resolution is allowed to
     exceed Eve's effective bits (a legal, Eve-hostile configuration).
     """
@@ -181,8 +181,9 @@ class SystemParams:
 def check_jamming_bits(w, name: str = "jamming bits per symbol"):
     """``w`` itself, if every command supports it as a jamming word width:
     an integer in [0, MAX_BITS_PER_SYMBOL]."""
-    # NumPy registers its integer types as numbers.Integral.
-    if not (isinstance(w, numbers.Integral) and 0 <= w <= MAX_BITS_PER_SYMBOL):
+    # NumPy's integer types are numbers.Integral, and so is bool.
+    if (isinstance(w, bool) or not isinstance(w, numbers.Integral)
+            or not 0 <= w <= MAX_BITS_PER_SYMBOL):
         raise ValidationError(f"{name} must be an integer in "
                               f"[0, {MAX_BITS_PER_SYMBOL}], got {w!r}")
     return w

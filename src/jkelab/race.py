@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 
@@ -45,7 +45,7 @@ class AttackerTimeModel:
             raise ValueError("attacker time must be positive when known")
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "t_qc_s": self.t_qc_s, "note": self.note}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class RaceScenario:
     verdict: RaceVerdict
 
     def to_dict(self) -> dict:
-        return {"t_j_s": self.t_j_s, "attacker": self.attacker.to_dict(),
-                "verdict": self.verdict.value}
+        return asdict(self) | {"verdict": self.verdict.value}
 
 
 def race_verdict(t_j_s: float, attacker: AttackerTimeModel) -> RaceScenario:

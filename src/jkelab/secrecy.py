@@ -14,6 +14,7 @@ implemented exactly as stated, not "corrected".
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -25,6 +26,11 @@ from .params import SnrPoint, SystemParams, ValidationError, snr_to_noise_var
 class NoPositiveSecrecyError(ValueError):
     """Raised when an operation needs a positive secrecy rate and the
     operating point does not provide one."""
+
+
+def positive_rate(rate: float) -> bool:
+    """Whether a key exchange can run at this rate (0, -0.0, NaN: no)."""
+    return rate > 0.0  # not 0: float against float is the faster comparison
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +49,7 @@ class SecrecyReport:
 
     @property
     def positive(self) -> bool:
-        return self.rate_bits_per_s > 0
+        return positive_rate(self.rate_bits_per_s)
 
     def to_dict(self) -> dict:
         return asdict(self) | {"positive": self.positive}
@@ -115,8 +121,7 @@ def _finite_rate(bandwidth: float, bob_term: float, eve_term: float) -> float:
     return rate
 
 
-def jke_duration(report: SecrecyReport, key_bits: int = 256,
-                 efficiency: float = 0.001) -> JkeTiming:
+def jke_duration(report: SecrecyReport, key_bits: int, efficiency: float) -> JkeTiming:
     """Duration of a key exchange for ``key_bits`` secret bits when the
     protocol extracts ``efficiency`` of the raw secrecy rate. A duration
     that is not a finite float is rejected, never reported as inf."""
@@ -124,7 +129,7 @@ def jke_duration(report: SecrecyReport, key_bits: int = 256,
         raise ValidationError("key bits must be at least 1")
     if not 0 < efficiency <= 1:
         raise ValidationError("efficiency must be in (0, 1]")
-    if report.rate_bits_per_s <= 0:
+    if not report.positive:
         raise NoPositiveSecrecyError(
             "no positive secrecy at this operating point")
     try:
@@ -186,11 +191,16 @@ def _threshold(p: float, delta_b: float, delta_e: float,
                         10.0 * math.log10(p / (noise_budget - quant_share)))
 
 
-def _check_axis(name: str, values) -> tuple:
-    vals = tuple(float(v) for v in values)
+def _check_axis(name: str, values, integer: bool = False) -> tuple:
+    """``values`` as a tuple of finite floats, or with ``integer`` of ints >= 0."""
+    vals = tuple(values)
     if not vals:
         raise ValidationError(f"{name} axis must be non-empty")
-    if any(not math.isfinite(v) for v in vals):
+    if integer and not all(isinstance(v, numbers.Integral)
+                           and not isinstance(v, bool) and v >= 0 for v in vals):
+        raise ValidationError(f"{name} axis values must be non-negative integers")
+    vals = tuple(map(int if integer else float, vals))
+    if not integer and any(not math.isfinite(v) for v in vals):
         raise ValidationError(f"{name} axis values must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValidationError(f"{name} axis must be strictly increasing")
@@ -290,7 +300,7 @@ def _zero_crossing(snr_values, rates):
     interpolated between grid points; the rate is monotone in the
     legitimate SNR so the first positive cell brackets the only crossing."""
     for k, r in enumerate(rates):
-        if r > 0:
+        if positive_rate(r):
             if k == 0:
                 return snr_values[0]
             r_prev = rates[k - 1]
@@ -302,13 +312,7 @@ def _zero_crossing(snr_values, rates):
 def sweep_min_bob_snr(template: SystemParams, jamming_bits, eve_jitter_s) -> ThresholdSweepGrid:
     """Evaluate the positive-secrecy SNR threshold over a (jamming bits x
     eavesdropper jitter) grid with a noiseless eavesdropper channel."""
-    w_axis = tuple(int(w) for w in jamming_bits)
-    if not w_axis:
-        raise ValidationError("jamming bits axis must be non-empty")
-    if any(w < 0 for w in w_axis):
-        raise ValidationError("jamming bits axis values must be non-negative")
-    if any(b <= a for a, b in zip(w_axis, w_axis[1:])):
-        raise ValidationError("jamming bits axis must be strictly increasing")
+    w_axis = _check_axis("jamming bits", jamming_bits, integer=True)
     jitter_axis = _check_axis("eve jitter", eve_jitter_s)
     if any(v <= 0 for v in jitter_axis):
         raise ValidationError("eve jitter axis values must be positive")

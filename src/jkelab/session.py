@@ -48,8 +48,7 @@ class CancellationModel:
     depth_db: float
 
     def __post_init__(self):
-        if not self.depth_db >= 0:
-            raise ValueError("cancellation depth must be non-negative")
+        cancellation_bits(self.depth_db)
 
     @property
     def residual_bits(self) -> float:

@@ -4,6 +4,11 @@ JSON (no ``Infinity`` or ``NaN``); the echoed ``config.json`` is held to
 that whenever the config it read is. A run that exits with a validation
 error leaves no output directory.
 
+The leaves edited are those of the shipped config and every key path the
+``config.py`` tables list for the blocks the command reads, so a key no
+shipped config spells (``explicit_bits``, ``noise_var``, the trend keys)
+is drawn too; setting one adds it, and any block it sits in.
+
 ``analyze`` and ``race`` run on ``paper-operating-point`` and
 ``race-default``, ``sweep`` on ``fig3a`` and ``fig3b`` in both formats, and
 ``simulate`` on ``simulate-default`` at 1000 symbols. One drawn value can
@@ -25,6 +30,18 @@ from jkelab.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 CONFIGS = ("paper-operating-point", "race-default")
 
+# Each block below the root, as its path and its table in the schema.
+BLOCKS = {("system",): cfg.SYSTEM,
+          ("system", "bob_adc"): cfg.ADC, ("system", "eve_adc"): cfg.ADC,
+          ("system", "bob_channel"): cfg.CHANNEL,
+          ("system", "eve_channel"): cfg.CHANNEL,
+          ("sweep",): cfg.SWEEP,
+          **{("sweep", axis): cfg.VALUES_AXIS | cfg.LINEAR_AXIS | cfg.LOG_AXIS
+             for axes in cfg.SWEEP_AXES.values() for axis in axes},
+          ("simulate",): cfg.SIMULATE, ("simulate", "kem"): cfg.KEM,
+          ("race",): cfg.RACE, ("race", "attacker"): cfg.ATTACKER,
+          ("race", "trend"): cfg.TREND}
+
 
 def _leaves(node, path=()):
     if isinstance(node, dict):
@@ -34,8 +51,17 @@ def _leaves(node, path=()):
         yield path
 
 
+def _paths(config: dict, *blocks: str) -> list:
+    """The leaves of ``config``, then each further key path the root table
+    and the tables of the blocks under ``blocks`` list."""
+    schema = [(key,) for key in cfg.ROOT] + [
+        path + (key,) for path, table in BLOCKS.items() if path[0] in blocks
+        for key in table]
+    return list(dict.fromkeys([*_leaves(config), *schema]))
+
+
 LEAVES = [(name, path) for name in CONFIGS
-          for path in _leaves(cfg.load_config(name))]
+          for path in _paths(cfg.load_config(name), "system", "race")]
 
 # Values at the edges of the float range and of the jamming word, drawn
 # as often as all other JSON values together.
@@ -73,7 +99,7 @@ def _replaced(config: dict, path: tuple, value) -> dict:
     config = json.loads(json.dumps(config))
     block = config
     for key in path[:-1]:
-        block = block[key]
+        block = block.setdefault(key, {})
     block[path[-1]] = value
     return config
 
@@ -128,7 +154,7 @@ def _run(config: dict, runs, tmp: str) -> None:
 
 
 SWEEP_LEAVES = [(name, path) for name in ("fig3a", "fig3b")
-                for path in _leaves(cfg.load_config(name))]
+                for path in _paths(cfg.load_config(name), "system", "sweep")]
 
 
 def _simulate_default() -> dict:
@@ -137,7 +163,7 @@ def _simulate_default() -> dict:
     return config
 
 
-SIMULATE_LEAVES = list(_leaves(_simulate_default()))
+SIMULATE_LEAVES = _paths(_simulate_default(), "system", "simulate")
 # The same lowered budgets for every example: sized so the shipped
 # sweeps (1271 and 500 cells) and 1000 symbols fit.
 SMALL_BUDGETS = {"MAX_SWEEP_CELLS": 4000, "MAX_SYMBOLS": 4000}

@@ -39,7 +39,9 @@ class TestGeneration:
         result = scipy_stats.chisquare(counts)
         assert result.pvalue > 1e-6
 
-    @pytest.mark.parametrize("w", [0, -1, 33])
+    # A float width once raised a TypeError, from bytes([14.0]).
+    @pytest.mark.parametrize("w", [0, -1, 33, 14.0, np.float64(14), True],
+                             ids=repr)
     def test_unsupported_resolution_rejected(self, w):
         with pytest.raises(ValueError):
             jamming_stream(KeyMaterial.random(seed=1), w, 10, 1.0)

@@ -51,6 +51,13 @@ class TestValidate:
         with pytest.raises(ValidationError, match="jamming bits"):
             validate(bad)
 
+    @pytest.mark.parametrize("w", [True, False])
+    def test_bool_jamming_bits_rejected(self, headline_params, w):
+        # bool is a numbers.Integral, and was once echoed as true.
+        bad = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
+        with pytest.raises(ValidationError, match="jamming bits"):
+            validate(bad)
+
     def test_jamming_bits_may_exceed_eve_bits(self, headline_params):
         # a legal, Eve-hostile configuration: w > b_E
         validate(dataclasses.replace(headline_params, jamming_bits_per_symbol=30))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +55,14 @@ class TestSecrecyRate:
         r = secrecy_rate(headline_params)
         assert r.rate_bits_per_s == r.bandwidth_hz * (r.bob_term_bits
                                                       - r.eve_term_bits)
+
+    @pytest.mark.parametrize("rate, positive", [
+        (1.0, True), (5e-324, True), (math.inf, True), (0.0, False),
+        (-0.0, False), (-5e-324, False), (-math.inf, False), (math.nan, False)],
+        ids=repr)
+    def test_positive_rate(self, rate, positive):
+        assert secrecy.positive_rate(rate) is positive
+        assert SecrecyReport(1.0, rate, 0.0, 0.0, 0.0, 0.0).positive is positive
 
     def test_report_keeps_no_instance_dict(self, headline_params):
         # Reading a row of a sweep grid builds one report per cell.
@@ -159,6 +168,21 @@ class TestJkeDuration:
                 jke_duration(report, 256, eff)
         with pytest.raises(ValidationError):
             jke_duration(report, 0, 0.001)
+
+    @pytest.mark.parametrize("rate", [0.0, -0.0, 5e-324, -5e-324, math.nan],
+                             ids=repr)
+    def test_refused_exactly_when_the_report_is_not_positive(self, rate):
+        # A NaN rate once passed the refusal while its report read as not
+        # positive.
+        report = SecrecyReport(1.0, rate, 0.0, 0.0, 0.0, 0.0)
+        try:
+            jke_duration(report, 1, 1.0)
+            refused = False
+        except NoPositiveSecrecyError:
+            refused = True
+        except ValidationError:  # 1 / 5e-324 is no finite duration
+            refused = False
+        assert refused is not report.positive
 
     @pytest.mark.parametrize("rate", [1e8, 0.25],
                              ids=["quotient-overflows", "product-underflows"])
@@ -355,3 +379,33 @@ class TestThresholdSweep:
         grid_clean = sweep_min_bob_snr(headline_params.with_eve_noise_var(0.0),
                                        [14], [5e-15])
         assert grid_noisy.cells == grid_clean.cells
+
+    def test_integer_words_beyond_32_bits_become_python_ints(self,
+                                                             headline_params):
+        grid = sweep_min_bob_snr(headline_params, np.array([0, 14, 40]),
+                                 [5e-15])
+        assert grid.jamming_bits == (0, 14, 40)
+        assert all(type(w) is int for w in grid.jamming_bits)
+
+    # A word such as 14.7 was once truncated: [14.7, 15.2] gave (14, 15).
+    NOT_WORDS = "jamming bits axis values must be non-negative integers"
+
+    @pytest.mark.parametrize("words, jitters, message", [
+        ([14.7, 15.2], [5e-15], NOT_WORDS),
+        ([14.0], [5e-15], NOT_WORDS),
+        ([np.float64(14)], [5e-15], NOT_WORDS),
+        ([True], [5e-15], NOT_WORDS),
+        (["14"], [5e-15], NOT_WORDS),
+        ([], [5e-15], "jamming bits axis must be non-empty"),
+        ([-1, 14], [5e-15], "jamming bits axis values must be non-negative"),
+        ([14, 14], [5e-15], "jamming bits axis must be strictly increasing"),
+        ([15, 14], [5e-15], "jamming bits axis must be strictly increasing"),
+        ([14], [], "eve jitter axis must be non-empty"),
+        ([14], [0.0, 5e-15], "eve jitter axis values must be positive"),
+        ([14], [-5e-15], "eve jitter axis values must be positive"),
+    ], ids=["fractional-words", "float-word", "numpy-float-word", "bool-word",
+            "string-word", "empty-words", "negative-word", "repeated-word",
+            "falling-words", "empty-jitter", "zero-jitter", "negative-jitter"])
+    def test_bad_axis_rejected(self, headline_params, words, jitters, message):
+        with pytest.raises(ValidationError, match=message):
+            sweep_min_bob_snr(headline_params, words, jitters)
