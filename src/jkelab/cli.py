@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfg
 from . import kem, output, race
-from .params import KeyMaterial, SystemParams, ValidationError, validate
+from .params import KeyMaterial, SystemParams, ValidationError
 from .secrecy import (NoPositiveSecrecyError, jke_duration, secrecy_rate,
                       sweep_min_bob_snr, sweep_rate_vs_snr)
 
@@ -27,19 +26,10 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
 
-def _load(args, check=validate) -> tuple:
-    """The config named by ``--config`` and its operating point, which
-    ``check`` has passed."""
+def _load(args) -> tuple:
+    """The config named by ``--config`` and its valid operating point."""
     config = cfg.load_config(args.config)
-    params = cfg.parse_system(config)
-    check(params)
-    return config, params
-
-
-def _validate_for_analysis(params: SystemParams) -> None:
-    # Zero bandwidth is tolerated by the analytics as the degenerate
-    # zero-rate point; everything else must hold.
-    validate(replace(params, bandwidth_hz=params.bandwidth_hz or 1.0))
+    return config, cfg.parse_system(config)
 
 
 def _outdir(args) -> Path:
@@ -61,7 +51,7 @@ def _exchange(config: dict, params: SystemParams) -> tuple:
 
 
 def cmd_analyze(args) -> int:
-    config, params = _load(args, _validate_for_analysis)
+    config, params = _load(args)
     report, timing, timing_error = _exchange(config, params)
 
     payload = {

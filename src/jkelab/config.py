@@ -8,8 +8,9 @@ argument resolves either a filesystem path or a shipped name like
 
 The schema is the block tables below (``ROOT``, ``SYSTEM``, ``ADC``,
 ``CHANNEL``, the three axis tables, ``SWEEP``, ``SIMULATE``, ``KEM``,
-``RACE``, ``ATTACKER``, ``TREND``): each maps a key to its parser and its
-default, and :func:`read_block` rejects any key its table does not list.
+``RACE``, ``PRESET_ATTACKER``, ``CUSTOM_ATTACKER``, ``TREND``): each maps a
+key to its parser and its default, and :func:`read_block` rejects any key
+its table does not list.
 README.md ("Config schema") describes the same schema in prose.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import kem, race
 from .params import (AdcSpec, KeyMaterial, SnrPoint, SystemParams,
                      ValidationError, check_jamming_bits, noise_var_to_snr,
-                     snr_to_noise_var)
+                     snr_to_noise_var, validate)
 
 
 def resolve_config(name_or_path) -> Path:
@@ -190,15 +191,21 @@ def _reader(table: dict, build=dict):
 
 
 def _attacker(block, context: str) -> race.AttackerTimeModel:
-    attacker = read_block(block, context, ATTACKER)
-    if attacker["preset"] is not None:
+    """A preset attacker or a custom one, read by the table of its form,
+    where a key of the other form is unknown. Each given value is checked
+    first, so a ``preset`` that is not a string is named as such."""
+    read_block(block, context, PRESET_ATTACKER | CUSTOM_ATTACKER)
+    if "preset" in block:
+        attacker = read_block(block, context, PRESET_ATTACKER)
         try:
             return race.get_preset(attacker["preset"], cores=attacker["cores"])
         except KeyError as exc:
             raise ValidationError(str(exc)) from exc
+        except ValueError as exc:  # a core count on a fixed-time preset
+            raise ValidationError(f"{context}.cores: {exc}") from exc
     if "t_qc_s" in block or "name" in block:
         return race.AttackerTimeModel(
-            attacker["name"], attacker["t_qc_s"], attacker["note"])
+            **read_block(block, context, CUSTOM_ATTACKER))
     raise ValidationError(
         f"{context} must name a preset or define a custom time model")
 
@@ -258,11 +265,13 @@ SIMULATE = {
     "kem": (_reader(KEM), read_block({}, "simulate.kem", KEM)),
     "jam_scale": (_or(None, _positive), None),
 }
-ATTACKER = {"preset": (require_string, None),
-            "cores": (_bounded(require_integer, 1), 1),
-            "name": (require_string, "custom"),
-            "t_qc_s": (_or(None, require_number), None),
-            "note": (require_string, race.AttackerTimeModel.note)}
+# The two forms of the attacker block: a preset (with a core count for
+# the core-year presets), or a custom time model.
+PRESET_ATTACKER = {"preset": (require_string, None),
+                   "cores": (_bounded(require_integer, 1), 1)}
+CUSTOM_ATTACKER = {"name": (require_string, "custom"),
+                   "t_qc_s": (_or(None, require_number), None),
+                   "note": (require_string, race.AttackerTimeModel.note)}
 TREND = {key: (require_number, value)
          for key, value in vars(race.DEFAULT_TREND).items()}
 RACE = {"attacker": (_attacker, REQUIRED),
@@ -274,12 +283,14 @@ def _root(config: dict) -> dict:
 
 
 def parse_system(config: dict) -> SystemParams:
+    """The operating point, which :func:`params.validate` has passed: the
+    same valid point for every command."""
     system = read_block(_root(config)["system"], "system", SYSTEM)
     for side in ("bob", "eve"):
         system[f"{side}_noise_var"] = _noise_var(
             system.pop(f"{side}_channel"), system["signal_power"],
             f"system.{side}_channel")
-    return SystemParams(**system)
+    return validate(SystemParams(**system))
 
 
 def _noise_var(channel: dict, signal_power: float, context: str) -> float:

@@ -135,7 +135,7 @@ def _registry() -> dict:
 
 def get_preset(name: str, cores: int = 1) -> AttackerTimeModel:
     """Look up an attacker preset; effort-based presets are converted to
-    wall time for ``cores``."""
+    wall time for ``cores``, which a fixed-time preset does not take."""
     registry = _registry()
     if name not in registry:
         raise KeyError(f"unknown attacker preset: {name!r} "
@@ -143,5 +143,8 @@ def get_preset(name: str, cores: int = 1) -> AttackerTimeModel:
     entry = registry[name]
     if "core_years" in entry:
         return _from_core_years(entry, cores)
+    if cores != 1:
+        raise ValueError(f"attacker preset {name!r} has a fixed time, so it "
+                         f"takes no core count, got {cores!r}")
     return AttackerTimeModel(name=entry["name"], t_qc_s=entry["t_qc_s"],
                              note=entry["note"])

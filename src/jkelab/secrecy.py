@@ -88,13 +88,10 @@ def _resolutions(params: SystemParams) -> tuple:
 def secrecy_rate(params: SystemParams) -> SecrecyReport:
     """Evaluate the secrecy-rate lower bound at ``params``.
 
-    Zero bandwidth is tolerated as the degenerate zero-rate point (nothing
-    is transmitted; all report fields are zero). Callers wanting strict
-    invariants should run :func:`jkelab.params.validate` first.
+    Only the terms the bound needs are checked here; run
+    :func:`jkelab.params.validate` first for every operating-point
+    invariant, such as a positive bandwidth.
     """
-    if params.bandwidth_hz == 0:
-        return SecrecyReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
     p = params.signal_power
     delta_b, delta_e = _resolutions(params)
 
@@ -192,13 +189,17 @@ def _threshold(p: float, delta_b: float, delta_e: float,
 
 
 def _check_axis(name: str, values, integer: bool = False) -> tuple:
-    """``values`` as a tuple of finite floats, or with ``integer`` of ints >= 0."""
+    """``values`` as a tuple of finite floats, or with ``integer`` of ints
+    >= 0; a bool, a string or (with ``integer``) a float is rejected, not
+    coerced."""
     vals = tuple(values)
     if not vals:
         raise ValidationError(f"{name} axis must be non-empty")
-    if integer and not all(isinstance(v, numbers.Integral)
-                           and not isinstance(v, bool) and v >= 0 for v in vals):
-        raise ValidationError(f"{name} axis values must be non-negative integers")
+    kind, what = ((numbers.Integral, "non-negative integers") if integer
+                  else (numbers.Real, "real numbers"))
+    if not all(isinstance(v, kind) and not isinstance(v, bool)
+               and (not integer or v >= 0) for v in vals):
+        raise ValidationError(f"{name} axis values must be {what}")
     vals = tuple(map(int if integer else float, vals))
     if not integer and any(not math.isfinite(v) for v in vals):
         raise ValidationError(f"{name} axis values must be finite")

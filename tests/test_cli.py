@@ -64,16 +64,17 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
-    def test_zero_bandwidth_reports_zero_rate(self, tmp_path):
+    def test_zero_bandwidth_is_validation_error(self, tmp_path, capsys):
+        # The bound is evaluated at a positive bandwidth; zero is not an
+        # operating point, for analyze as for every other command.
         cfg = write_config(tmp_path, {"system": HEADLINE_SYSTEM
                                       | {"bandwidth_hz": 0.0}})
         out = tmp_path / "o"
         assert main(["analyze", "--config", cfg,
-                     "--out", str(out)]) == EXIT_INFEASIBLE
-        report = read_json(out / "report.json")
-        assert report["secrecy"]["rate_bits_per_s"] == 0.0
-        assert report["timing"] is None
-        assert "no positive secrecy" in report["timing_error"]
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: bandwidth must be positive and finite\n")
+        assert not out.exists()
 
     def test_negative_secrecy_exit_code(self, tmp_path):
         system = HEADLINE_SYSTEM | {
@@ -634,6 +635,17 @@ class TestConfigNumbers:
          "race.attacker must name a preset or define a custom time model"),
         ("race", "race.attacker", {"preset": "classical-rsa829", "cores": 0},
          "race.attacker.cores must be at least 1, got 0"),
+        ("race", "race.attacker",
+         {"preset": "quantum-rsa2048-8h", "t_qc_s": 1e-9},
+         "unknown config key race.attacker.t_qc_s"),
+        ("race", "race.attacker",
+         {"preset": "classical-rsa829", "note": "farm"},
+         "unknown config key race.attacker.note"),
+        ("race", "race.attacker", {"name": "fast", "t_qc_s": 1.0, "cores": 4},
+         "unknown config key race.attacker.cores"),
+        ("race", "race.attacker", {"preset": "quantum-rsa2048-8h", "cores": 64},
+         "race.attacker.cores: attacker preset 'quantum-rsa2048-8h' has a "
+         "fixed time, so it takes no core count, got 64"),
         ("analyze", "system", OVERFLOW_SYSTEM,
          "secrecy rate at bandwidth 1e+308 Hz with log terms"),
         ("simulate", "system.signal_power", 1e300,
@@ -665,6 +677,8 @@ class TestConfigNumbers:
             "race-duration-overflow", "axis-max-below-min", "axis-step-zero",
             "log-axis-no-points", "log-axis-min-zero", "channel-both",
             "channel-neither", "attacker-no-model", "attacker-cores-0",
+            "attacker-preset-and-t-qc", "attacker-preset-and-note",
+            "attacker-custom-and-cores", "attacker-fixed-time-cores",
             "analyze-rate-overflow", "simulate-power-overflow",
             "sweep-rate-overflow", "n-symbols-0", "seed-negative",
             "jam-scale-0"])
@@ -715,6 +729,31 @@ class TestConfigNumbers:
 
 FULL_PAYLOAD = {"system": HEADLINE_SYSTEM, "simulate": SIM_BLOCK | {"n_symbols": 500},
                 "race": RACE_BLOCK, "sweep": SWEEP_BLOCK}
+
+
+class TestOneOperatingPoint:
+    """Every command refuses the same operating points, with the same
+    message, before it creates ``--out``."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("system.bandwidth_hz", 0.0, "bandwidth must be positive and finite"),
+        ("system.dynamic_range_factor", -1.0,
+         "dynamic range factor must be positive and finite"),
+        ("system.jamming_bits_per_symbol", 33,
+         "jamming bits per symbol must be an integer in [0, 32], got 33"),
+        ("system.bob_channel", {"noise_var": -1e-3},
+         "bob channel noise variance must be non-negative"),
+    ], ids=["bandwidth-0", "dynamic-range-negative", "jamming-bits-33",
+            "noise-var-negative"])
+    def test_every_command_refuses(self, tmp_path, capsys, path, value,
+                                   message):
+        cfg = write_config(tmp_path, _patched(FULL_PAYLOAD, path, value))
+        for command in ("analyze", "race", "sweep", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg,
+                         "--out", str(out)]) == EXIT_VALIDATION, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists(), command
 
 
 class TestBudgets:

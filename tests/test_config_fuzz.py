@@ -39,7 +39,8 @@ BLOCKS = {("system",): cfg.SYSTEM,
           **{("sweep", axis): cfg.VALUES_AXIS | cfg.LINEAR_AXIS | cfg.LOG_AXIS
              for axes in cfg.SWEEP_AXES.values() for axis in axes},
           ("simulate",): cfg.SIMULATE, ("simulate", "kem"): cfg.KEM,
-          ("race",): cfg.RACE, ("race", "attacker"): cfg.ATTACKER,
+          ("race",): cfg.RACE,
+          ("race", "attacker"): cfg.PRESET_ATTACKER | cfg.CUSTOM_ATTACKER,
           ("race", "trend"): cfg.TREND}
 
 

@@ -106,6 +106,12 @@ class TestPresets:
         assert preset.t_qc_s / 3600 == pytest.approx(23.6682, rel=1e-6)
         assert "linear scaling" in preset.note
 
+    def test_fixed_time_preset_takes_no_core_count(self):
+        # 64 cores once left the 8-hour preset at 28800 s without a word.
+        with pytest.raises(ValueError, match="takes no core count, got 64"):
+            get_preset("quantum-rsa2048-8h", cores=64)
+        assert get_preset("quantum-rsa2048-8h", cores=1).t_qc_s == 28800.0
+
     def test_registry_lists_all_shipped_presets(self):
         for name in ("quantum-rsa2048-8h", "quantum-rsa2048-24h",
                      "classical-rsa829", "unknown-future"):

@@ -73,9 +73,17 @@ class TestSecrecyRate:
         assert list(report.to_dict()) == [
             field.name for field in dataclasses.fields(report)] + ["positive"]
 
-    def test_zero_bandwidth_gives_zero_rate(self, headline_params):
-        report = secrecy_rate(dataclasses.replace(headline_params, bandwidth_hz=0.0))
-        assert report.rate_bits_per_s == 0.0
+    def test_zero_bandwidth_rejected_where_bits_come_from_jitter(
+            self, headline_params):
+        # validate() refuses a zero bandwidth; without it, ENOB from jitter
+        # has no value there, and explicit bits give the plain formula.
+        zero = dataclasses.replace(headline_params, bandwidth_hz=0.0)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            secrecy_rate(zero)
+        report = secrecy_rate(dataclasses.replace(
+            zero, bob_adc=AdcSpec(500e-15, explicit_bits=12.0),
+            eve_adc=AdcSpec(5e-15, explicit_bits=20.0)))
+        assert report.rate_bits_per_s == 0.0 and report.delta_b > 0
         assert not report.positive
 
     def test_symmetric_receivers_without_jamming_is_negative(self, headline_params):
@@ -341,6 +349,17 @@ class TestRateSweep:
         with pytest.raises(ValidationError, match="strictly increasing"):
             sweep_rate_vs_snr(headline_params, [10.0, 10.0], [80.0])
 
+    # ["0", True] was once coerced to the Bob axis (0.0, 1.0).
+    @pytest.mark.parametrize("bob, eve, message", [
+        (["0", True], [80.0], "bob SNR axis values must be real numbers"),
+        ([True], [80.0], "bob SNR axis values must be real numbers"),
+        ([32.0], ["80"], "eve SNR axis values must be real numbers"),
+        ([32.0], [False, 80.0], "eve SNR axis values must be real numbers"),
+    ], ids=["string-and-bool-bob", "bool-bob", "string-eve", "bool-eve"])
+    def test_non_number_axis_rejected(self, headline_params, bob, eve, message):
+        with pytest.raises(ValidationError, match=message):
+            sweep_rate_vs_snr(headline_params, bob, eve)
+
 
 class TestThresholdSweep:
     def test_cell_matches_point_evaluation(self, headline_params):
@@ -403,9 +422,12 @@ class TestThresholdSweep:
         ([14], [], "eve jitter axis must be non-empty"),
         ([14], [0.0, 5e-15], "eve jitter axis values must be positive"),
         ([14], [-5e-15], "eve jitter axis values must be positive"),
+        ([14], ["5e-15"], "eve jitter axis values must be real numbers"),
+        ([14], [True], "eve jitter axis values must be real numbers"),
     ], ids=["fractional-words", "float-word", "numpy-float-word", "bool-word",
             "string-word", "empty-words", "negative-word", "repeated-word",
-            "falling-words", "empty-jitter", "zero-jitter", "negative-jitter"])
+            "falling-words", "empty-jitter", "zero-jitter", "negative-jitter",
+            "string-jitter", "bool-jitter"])
     def test_bad_axis_rejected(self, headline_params, words, jitters, message):
         with pytest.raises(ValidationError, match=message):
             sweep_min_bob_snr(headline_params, words, jitters)

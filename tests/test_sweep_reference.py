@@ -129,12 +129,13 @@ def test_fig3b_ignores_eve_noise_and_explicit_bits():
     assert kinds == {"threshold", "infeasible"}
 
 
-def test_zero_bandwidth_gives_zero_cells():
+def test_zero_bandwidth_refused_as_by_the_reference():
+    # ENOB from jitter has no value at zero bandwidth, in the sweep as in
+    # the per-cell reference.
     template = SystemParams(
         bandwidth_hz=0.0, jamming_bits_per_symbol=14,
         bob_adc=AdcSpec(500e-15), eve_adc=AdcSpec(5e-15),
         bob_noise_var=0.0, eve_noise_var=0.0)
-    grid = check_rate_sweep(template, linear(-20.0, 60.0, 10.0),
-                            [0.0, 40.0, 80.0])
-    assert {cell.rate_bits_per_s for row in grid.cells for cell in row} == {0.0}
-    assert grid.zero_crossing_bob_snr_db == (None, None, None)
+    for sweep in (sweep_rate_vs_snr, reference_rate_grid):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            sweep(template, linear(-20.0, 60.0, 10.0), [0.0, 40.0, 80.0])
