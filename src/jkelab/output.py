@@ -21,6 +21,7 @@ the rate is formatted, and ``positive`` is ``secrecy.positive_rate(rate)``.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
@@ -33,7 +34,8 @@ if TYPE_CHECKING:  # session loads NumPy; only write_trace_csv needs it
     from .session import SimTrace
 
 # Rows formatted and written per file write: large enough to amortise the
-# per-write cost, small enough that a long trace never sits in memory.
+# per-write cost, small enough that a long trace never sits in memory. A
+# trace's writer processes are dealt its rows in batches of this size.
 _BATCH_ROWS = 1024
 
 
@@ -197,18 +199,111 @@ _TRACE_COLUMNS = ("clean_signal", "jamming", "bob_noise", "eve_noise",
                   "bob_rx", "eve_rx", "bob_post", "eve_stored", "eve_post")
 
 
-def _trace_rows(columns, n: int):
+def _trace_processes() -> int:
+    """How many processes may format a trace: one per CPU this process may
+    run on, or one where ``os.fork`` or the affinity call is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _trace_batch(columns, template: str, start: int) -> bytes:
+    """Rows ``start`` up to ``start + _BATCH_ROWS`` of the trace csv."""
+    stop = start + _BATCH_ROWS
     # tolist() converts a whole slice to Python floats at C speed, so %r
-    # formats exactly what repr(float(x)) would.
-    for start in range(0, n, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, n)
-        yield from zip(range(start, stop),
-                       *[col[start:stop].tolist() for col in columns])
+    # formats exactly what repr(float(x)) would. The last batch is short,
+    # and zip stops with its columns.
+    rows = zip(range(start, stop),
+               *[col[start:stop].tolist() for col in columns])
+    return "".join([template % row for row in rows]).encode()
+
+
+def _read_exactly(pipe, size: int) -> bytes:
+    data = pipe.read(size)
+    if len(data) != size:
+        raise OSError("a trace writer process stopped before its last row")
+    return data
 
 
 def write_trace_csv(trace: SimTrace, path) -> Path:
-    """Columnar per-symbol dump of a session."""
+    """Columnar per-symbol dump of a session.
+
+    The rows are formatted ``_BATCH_ROWS`` at a time, batch k in process
+    k mod N, with N the processes ``_trace_processes`` allows (at most one
+    per batch). The forked children send their batches, each after its
+    8-byte length, through a pipe apiece, and this process writes its own
+    batches and theirs in file order, so the bytes do not depend on N. A
+    failed child or a short pipe is an ``OSError``; every child is reaped
+    before this returns or raises.
+    """
     columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    return _write_csv(path, ("index",) + _TRACE_COLUMNS,
-                      "%d" + ",%r" * len(_TRACE_COLUMNS) + "\r\n",
-                      _trace_rows(columns, len(trace)))
+    template = "%d" + ",%r" * len(columns) + "\r\n"
+    starts = range(0, len(trace), _BATCH_ROWS)
+    procs = min(_trace_processes(), len(starts))
+    path = Path(path)
+    pipes = []  # (pid, read end) of each child, child k dealt batches k::procs
+    try:
+        with path.open("wb") as fh:
+            fh.write((",".join(("index",) + _TRACE_COLUMNS) + "\r\n").encode())
+            for worker in range(1, procs):
+                pipes.append(_fork_trace_writer(
+                    pipes, columns, template, starts[worker::procs]))
+            for k, start in enumerate(starts):
+                if k % procs == 0:
+                    fh.write(_trace_batch(columns, template, start))
+                else:
+                    pipe = pipes[k % procs - 1][1]
+                    size = int.from_bytes(_read_exactly(pipe, 8), "little")
+                    fh.write(_read_exactly(pipe, size))
+    finally:
+        # Closed before waiting: a child blocked on a full pipe then fails
+        # its write and exits instead of waiting on a reader that is gone.
+        for _, pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in pipes]
+    if any(codes):
+        raise OSError(f"a trace writer process exited with status "
+                      f"{next(filter(None, codes))}")
+    return path
+
+
+def _fork_trace_writer(pipes, columns, template: str, starts):
+    """Fork a child that formats the batches at ``starts`` into a new pipe;
+    the child's pid and the pipe's read end, as a file."""
+    import fcntl  # only here, so importing the CLI loads no more modules
+
+    read_fd, write_fd = os.pipe()
+    # A pipe that holds a few batches lets the child run ahead of the
+    # parent's reads instead of waiting on them.
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        try:
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except OSError:
+            pass
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # The child leaves only through os._exit: it flushes no buffer it
+        # inherited, runs no atexit hook and never returns to the caller.
+        status = 1
+        try:
+            # The earlier children's read ends: the parent's close alone
+            # then ends each pipe, and a child blocked on one fails at once.
+            for _, pipe in pipes:
+                pipe.close()
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                for start in starts:
+                    batch = _trace_batch(columns, template, start)
+                    out.write(len(batch).to_bytes(8, "little"))
+                    out.write(batch)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")

@@ -175,15 +175,21 @@ def min_bob_snr_for_positive_rs(params: SystemParams) -> SnrThreshold:
                       params.eve_noise_var)
 
 
+# A threshold without a value is one of these two; SnrThreshold is frozen,
+# so every cell of that kind shares one instance.
+_ALWAYS_POSITIVE = SnrThreshold(ThresholdKind.ALWAYS_POSITIVE)
+_INFEASIBLE = SnrThreshold(ThresholdKind.INFEASIBLE)
+
+
 def _threshold(p: float, delta_b: float, delta_e: float,
                eve_noise_var: float) -> SnrThreshold:
     big_k = _eve_ratio(p, eve_noise_var, delta_e)
     if big_k <= 1:
-        return SnrThreshold(ThresholdKind.ALWAYS_POSITIVE)
+        return _ALWAYS_POSITIVE
     noise_budget = p / (big_k - 1.0)
     quant_share = delta_b ** 2 / 12.0
     if quant_share >= noise_budget:
-        return SnrThreshold(ThresholdKind.INFEASIBLE)
+        return _INFEASIBLE
     return SnrThreshold(ThresholdKind.THRESHOLD,
                         10.0 * math.log10(p / (noise_budget - quant_share)))
 
@@ -200,8 +206,12 @@ def _check_axis(name: str, values, integer: bool = False) -> tuple:
     if not all(isinstance(v, kind) and not isinstance(v, bool)
                and (not integer or v >= 0) for v in vals):
         raise ValidationError(f"{name} axis values must be {what}")
-    vals = tuple(map(int if integer else float, vals))
-    if not integer and any(not math.isfinite(v) for v in vals):
+    try:
+        vals = tuple(map(int if integer else float, vals))
+        finite = integer or all(map(math.isfinite, vals))
+    except OverflowError:  # an int past the float range, such as 10**400
+        finite = False
+    if not finite:
         raise ValidationError(f"{name} axis values must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValidationError(f"{name} axis must be strictly increasing")

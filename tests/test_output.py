@@ -1,9 +1,12 @@
 """The batched CSV writers against the row-by-row ``csv.writer`` loop they
 replaced: same bytes on every input, bounded memory on long traces."""
 
+import contextlib
 import csv
 import dataclasses
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -95,24 +98,106 @@ def base_trace():
 
 
 def edge_trace(base, n):
-    """The first ``n`` symbols of ``base`` with the edge floats written into
-    every column at staggered positions."""
+    """``n`` symbols of ``base``, repeated past its end, with the edge floats
+    written into every column at staggered positions."""
     columns = {}
     for k, name in enumerate(_TRACE_COLUMNS):
-        col = np.array(getattr(base, name)[:n], dtype=np.float64)
+        col = np.resize(np.asarray(getattr(base, name), dtype=np.float64), n)
         for m, value in enumerate(EDGE_FLOATS):
             col[(m * 37 + k) % n] = value
         columns[name] = col
     return dataclasses.replace(base, **columns)
 
 
-@pytest.mark.parametrize("n", [1, _BATCH_ROWS - 1, _BATCH_ROWS,
-                               _BATCH_ROWS + 1, 2 * _BATCH_ROWS + 1])
-def test_trace_csv_matches_reference(base_trace, n, tmp_path):
+# Enough batches that each child of two or three sends more than a 1 MB
+# pipe holds (a batch is about 160 KB), so children block on the parent.
+LONG = 24 * _BATCH_ROWS + 5
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """A writer that waits on a child forever fails the test instead."""
+    def expire(signum, frame):
+        # pytest.fail, not an OSError the test's pytest.raises would take
+        pytest.fail(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the trace is formatted in one process")
+
+
+# The id is the row count, with the process count after it when not 1.
+@pytest.mark.parametrize("n, processes", [
+    pytest.param(n, processes, marks=() if processes == 1 else needs_fork,
+                 id=str(n) if processes == 1 else f"{n}-{processes}procs")
+    for processes in (1, 2, 3)
+    for n in (1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1,
+              2 * _BATCH_ROWS + 1, LONG)])
+def test_trace_csv_matches_reference(base_trace, n, processes, monkeypatch,
+                                     tmp_path):
+    monkeypatch.setattr(output, "_trace_processes", lambda: processes)
     trace = edge_trace(base_trace, n)
     assert len(trace) == n
     assert_same_bytes(output.write_trace_csv, reference_trace_csv, trace,
                       tmp_path)
+    assert_no_children()
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+def test_trace_csv_write_failure_reaps_blocked_children(base_trace,
+                                                        monkeypatch):
+    # Every write to /dev/full fails, the first batch's included, while
+    # both children are blocked on their full pipes.
+    monkeypatch.setattr(output, "_trace_processes", lambda: 3)
+    with deadline(60), pytest.raises(OSError):
+        output.write_trace_csv(edge_trace(base_trace, LONG), "/dev/full")
+    assert_no_children()
+
+
+@needs_fork
+def test_trace_csv_failed_child_raises(base_trace, monkeypatch, tmp_path):
+    parent = os.getpid()
+    batch = output._trace_batch
+
+    def fails_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        return batch(*args)
+
+    monkeypatch.setattr(output, "_trace_batch", fails_in_child)
+    monkeypatch.setattr(output, "_trace_processes", lambda: 3)
+    with (deadline(60),
+          pytest.raises(OSError, match="stopped before its last row")):
+        output.write_trace_csv(edge_trace(base_trace, LONG),
+                               tmp_path / "trace.csv")
+    assert_no_children()
+
+
+@needs_fork
+def test_trace_csv_child_exit_status_is_checked(base_trace, monkeypatch,
+                                                tmp_path):
+    # The child sends every batch and then exits with status 7.
+    exit_ = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 7))
+    monkeypatch.setattr(output, "_trace_processes", lambda: 2)
+    with deadline(60), pytest.raises(OSError, match="exited with status 7"):
+        output.write_trace_csv(edge_trace(base_trace, 2 * _BATCH_ROWS + 1),
+                               tmp_path / "trace.csv")
+    assert_no_children()
 
 
 @pytest.fixture(scope="module")

@@ -360,6 +360,16 @@ class TestRateSweep:
         with pytest.raises(ValidationError, match=message):
             sweep_rate_vs_snr(headline_params, bob, eve)
 
+    # 10**400 once escaped as a bare OverflowError from float().
+    @pytest.mark.parametrize("bob, eve, message", [
+        ([0, 10**400], [80.0], "bob SNR axis values must be finite"),
+        ([32.0], [-10**400], "eve SNR axis values must be finite"),
+    ], ids=["huge-int-bob", "huge-int-eve"])
+    def test_int_past_float_range_rejected(self, headline_params, bob, eve,
+                                           message):
+        with pytest.raises(ValidationError, match=message):
+            sweep_rate_vs_snr(headline_params, bob, eve)
+
 
 class TestThresholdSweep:
     def test_cell_matches_point_evaluation(self, headline_params):
@@ -391,6 +401,14 @@ class TestThresholdSweep:
             feasible = [c.snr_db for c in row if c.kind is ThresholdKind.THRESHOLD]
             # jitter axis ascends, so thresholds must descend
             assert all(b <= a for a, b in zip(feasible, feasible[1:]))
+
+    def test_infeasible_cells_share_one_instance(self, headline_params):
+        grid = sweep_min_bob_snr(headline_params, [0, 1, 14],
+                                 [1e-15, 5e-13, 5e-10])
+        infeasible = [cell for row in grid.cells for cell in row
+                      if cell.kind is ThresholdKind.INFEASIBLE]
+        assert len(infeasible) == 3
+        assert all(cell is infeasible[0] for cell in infeasible)
 
     def test_forces_noiseless_eve(self, headline_params):
         # template carries eavesdropper channel noise; the sweep must ignore it
