@@ -63,8 +63,9 @@ def cmd_analyze(args) -> int:
     out = _outdir(args)
     output.write_json(out / "config.json", config)
     if args.format == "csv":
-        _write_flat_csv(out / "report.csv", payload["secrecy"]
-                        | {"duration_s": timing.duration_s if timing else ""})
+        output.write_record_csv(payload["secrecy"] | {
+            "duration_s": None if timing is None else timing.duration_s},
+            out / "report.csv")
     else:
         output.write_json(out / "report.json", payload)
     if timing is None:
@@ -74,14 +75,6 @@ def cmd_analyze(args) -> int:
           f"{timing.key_bits}-bit key in {timing.duration_s * 1e3:.4g} ms "
           f"-> {out}")
     return EXIT_OK
-
-
-def _write_flat_csv(path: Path, payload: dict) -> None:
-    keys = sorted(payload)
-    lines = [",".join(keys),
-             ",".join(repr(payload[k]) if isinstance(payload[k], float)
-                      else str(payload[k]) for k in keys)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_sweep(args) -> int:

@@ -70,6 +70,14 @@ def _blank_none(value) -> str:
     return "" if value is None else repr(value)
 
 
+def write_record_csv(record: dict, path) -> Path:
+    """``record`` as one header of its sorted keys and one row of cells."""
+    keys = sorted(record)
+    cells = ["true" if v is True else "false" if v is False else _blank_none(v)
+             for v in map(record.get, keys)]
+    return _write_csv(path, keys, "%s\r\n", [(",".join(cells),)])
+
+
 def _rate_csv_rows(grid: RateSweepGrid):
     """Each cell's CSV row: the row's and the column's values formatted once,
     the rate per cell."""
@@ -93,17 +101,18 @@ def write_rate_grid_csv(grid: RateSweepGrid, path) -> Path:
                       "%s,%s,%r,%s,%s,%s,%s,%s\r\n", _rate_csv_rows(grid))
 
 
-def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
-    """The zero-rate crossing per eavesdropper-SNR column (empty cell when
-    the rate never turns positive on the grid)."""
-    rows = ((se, _blank_none(crossing)) for se, crossing
-            in zip(grid.eve_snr_db, grid.zero_crossing_bob_snr_db))
-    return _write_csv(path, ("eve_snr_db", "bob_snr_db_zero_crossing"),
-                      "%r,%s\r\n", rows)
-
-
 # Read once per cell: a dict lookup, not the Enum's ``value`` descriptor.
 _KIND_TEXT = {kind: kind.value for kind in ThresholdKind}
+
+
+def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
+    """The zero-rate crossing per eavesdropper-SNR column, as its threshold
+    kind and SNR (an empty cell for a kind without one)."""
+    rows = ((se, _KIND_TEXT[crossing.kind], _blank_none(crossing.snr_db))
+            for se, crossing
+            in zip(grid.eve_snr_db, grid.zero_crossing_bob_snr_db))
+    return _write_csv(path, ("eve_snr_db", "kind", "min_bob_snr_db"),
+                      "%r,%s,%s\r\n", rows)
 
 
 def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
@@ -118,10 +127,13 @@ def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
 
 def grid_to_dict(grid: RateSweepGrid | ThresholdSweepGrid) -> dict:
     """A sweep grid as JSON-ready data: each axis and the other fields as
-    lists, each cell through its ``to_dict()``."""
+    lists, each cell and each zero crossing through its ``to_dict()``."""
     out = {field.name: list(getattr(grid, field.name)) for field in fields(grid)
            if field.name != "cells"}
     out["cells"] = [[cell.to_dict() for cell in row] for row in grid.cells]
+    if isinstance(grid, RateSweepGrid):
+        out["zero_crossing_bob_snr_db"] = [
+            crossing.to_dict() for crossing in grid.zero_crossing_bob_snr_db]
     return out
 
 

@@ -150,10 +150,11 @@ class ThresholdKind(str, Enum):
 class SnrThreshold:
     """Minimum legitimate-channel SNR with positive secrecy.
 
-    ``ALWAYS_POSITIVE``: the eavesdropper side is worse than the legitimate
-    side at any SNR (cannot occur for physical parameters, kept for
-    robustness). ``INFEASIBLE``: the legitimate receiver's own quantizer is
-    already too coarse, no channel SNR helps.
+    ``ALWAYS_POSITIVE``: the secrecy rate is positive at any legitimate
+    SNR, because the eavesdropper's ratio K rounds to 1.0 (at the fig3a
+    operating point, below an eavesdropper SNR of about -159.8 dB).
+    ``INFEASIBLE``: the legitimate receiver's own quantizer is already too
+    coarse, no channel SNR helps.
     """
 
     kind: ThresholdKind
@@ -247,8 +248,8 @@ class RateCells(Sequence):
 @dataclass(frozen=True)
 class RateSweepGrid:
     """Secrecy-rate reports over a (legitimate SNR x eavesdropper SNR)
-    grid, plus the interpolated zero-rate crossing per eavesdropper-SNR
-    column (None where the rate never turns positive on the axis).
+    grid, plus per eavesdropper-SNR column the :class:`SnrThreshold` where
+    the rate turns positive, which may lie off the legitimate-SNR axis.
 
     ``cells`` is a :class:`RateCells`: one report per row and per column
     and a matrix of rates, which the grid writers format directly."""
@@ -256,7 +257,7 @@ class RateSweepGrid:
     bob_snr_db: tuple
     eve_snr_db: tuple
     cells: RateCells  # cells[i][j] -> SecrecyReport at (bob_snr_db[i], eve_snr_db[j])
-    zero_crossing_bob_snr_db: tuple  # one entry per eve_snr_db column
+    zero_crossing_bob_snr_db: tuple  # one SnrThreshold per eve_snr_db column
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,9 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
     per axis point (first row, then first column: the order a per-cell loop
     meets them) and each cell's rate combines them as :func:`secrecy_rate`
     does. The grid keeps those reports and the rates as :class:`RateCells`
-    and builds no report per cell."""
+    and builds no report per cell. Each column's crossing is the closed-form
+    threshold at its eavesdropper noise, as
+    :func:`min_bob_snr_for_positive_rs` gives it."""
     bob_axis = _check_axis("bob SNR", bob_snr_db)
     eve_axis = _check_axis("eve SNR", eve_snr_db)
     p = template.signal_power
@@ -299,25 +302,12 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
     rates = tuple(
         tuple([b.bandwidth_hz * (bob_term - eve_term) for eve_term in eve_terms])
         for b, bob_term in zip(bob_reports, bob_terms))
-    crossings = tuple(_zero_crossing(bob_axis, column)
-                      for column in zip(*rates))
+    delta_b = bob_reports[0].delta_b
+    crossings = tuple(_threshold(p, delta_b, eve.delta_e, noise(se))
+                      for se, eve in zip(eve_axis, eve_reports))
     return RateSweepGrid(bob_axis, eve_axis,
                          RateCells(tuple(bob_reports), tuple(eve_reports), rates),
                          crossings)
-
-
-def _zero_crossing(snr_values, rates):
-    """SNR at which the rate column first turns positive, linearly
-    interpolated between grid points; the rate is monotone in the
-    legitimate SNR so the first positive cell brackets the only crossing."""
-    for k, r in enumerate(rates):
-        if positive_rate(r):
-            if k == 0:
-                return snr_values[0]
-            r_prev = rates[k - 1]
-            return snr_values[k - 1] + (snr_values[k] - snr_values[k - 1]) * (
-                -r_prev) / (r - r_prev)
-    return None
 
 
 def sweep_min_bob_snr(template: SystemParams, jamming_bits, eve_jitter_s) -> ThresholdSweepGrid:

@@ -103,6 +103,20 @@ class TestAnalyze:
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and "rate_bits_per_s" in lines[0]
 
+    def test_csv_format_follows_the_csv_contract(self, tmp_path):
+        # CRLF line ends, lowercase booleans, and an empty duration_s cell
+        # when there is no positive secrecy (no jamming here).
+        cfg = write_config(tmp_path, {
+            "system": HEADLINE_SYSTEM | {"jamming_bits_per_symbol": 0}})
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", cfg, "--out", str(out),
+                     "--format", "csv"]) == EXIT_INFEASIBLE
+        header, row, end = (out / "report.csv").read_bytes().split(b"\r\n")
+        assert b"\n" not in header + row and end == b""
+        record = dict(zip(header.decode().split(","), row.decode().split(",")))
+        assert record["positive"] == "false" and record["duration_s"] == ""
+        assert float(record["rate_bits_per_s"]) < 0
+
     def test_system_echo(self, tmp_path):
         # explicit_bits is echoed only where it is set, and each channel
         # as its noise variance with the SNR alongside, whichever the

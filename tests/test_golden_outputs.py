@@ -47,7 +47,7 @@ RECORDED = {
         "config.json":
             "f5a644fa3ff25db233a020267ff9cfa54183f810d2c922418867842e5a0a1bc2",
         "report.csv":
-            "f1e58d9bd4b9ac3a89b9766ae57e8ed6daf64057e559ae327c568680d3a793e4",
+            "a1fd1a07c07feac609b01edcbcf16449b9bc9ac8c5c423bb06ddb95137c09a53",
     },
     ("sweep", "fig3a", "csv"): {
         "stdout":
@@ -59,7 +59,7 @@ RECORDED = {
         "sweep.json":
             "1d72d13c55c10a5cdc346bbd17843178bef4e5e5ddf18c2e23836d16be348534",
         "zero_crossing.csv":
-            "a1ccf23e46d1b2ce7492782274c8afd8ec671d5d18fee02a2b4a12a0a8cb6ed7",
+            "0551978045d5abf06e795447843074dd33dd5ee098714fcaab99760949cab741",
     },
     ("sweep", "fig3a", "json"): {
         "stdout":
@@ -67,7 +67,7 @@ RECORDED = {
         "config.json":
             "68a76c1ebed1ff5fe2d340b3b234ef7ef0dc57713f7d97b5b243bfd402820a7b",
         "grid.json":
-            "6b7b830fe4328c95a21e4acfa8e749dab34b79ef9c2d66720adb7876778d3333",
+            "6288bb2af4bc967af800d772f5a39a41c4cdb1e31fd2050f129b5c7da146a9f1",
         "sweep.json":
             "1d72d13c55c10a5cdc346bbd17843178bef4e5e5ddf18c2e23836d16be348534",
     },
@@ -142,12 +142,22 @@ def oracle_rate_csv(grid) -> bytes:
          for se, cell in zip(grid.eve_snr_db, row)))
 
 
+def threshold_cells(cell) -> tuple:
+    return cell.kind.value, "" if cell.snr_db is None else repr(cell.snr_db)
+
+
+def oracle_contour_csv(grid) -> bytes:
+    return oracle_csv(
+        ("eve_snr_db", "kind", "min_bob_snr_db"), "%r,%s,%s\r\n",
+        ((se, *threshold_cells(crossing)) for se, crossing
+         in zip(grid.eve_snr_db, grid.zero_crossing_bob_snr_db)))
+
+
 def oracle_threshold_csv(grid) -> bytes:
     return oracle_csv(
         ("jamming_bits_per_symbol", "eve_jitter_s", "kind", "min_bob_snr_db"),
         "%d,%r,%s,%s\r\n",
-        ((w, jitter, cell.kind.value,
-          "" if cell.snr_db is None else repr(cell.snr_db))
+        ((w, jitter, *threshold_cells(cell))
          for w, row in zip(grid.jamming_bits, grid.cells)
          for jitter, cell in zip(grid.eve_jitter_s, row)))
 
@@ -159,6 +169,8 @@ def assert_written_as_oracles(grid, tmp_path):
     if isinstance(grid, RateSweepGrid):
         path = output.write_rate_grid_csv(grid, tmp_path / "grid.csv")
         assert path.read_bytes() == oracle_rate_csv(grid)
+        path = output.write_rate_contour_csv(grid, tmp_path / "contour.csv")
+        assert path.read_bytes() == oracle_contour_csv(grid)
     else:
         path = output.write_threshold_grid_csv(grid, tmp_path / "grid.csv")
         assert path.read_bytes() == oracle_threshold_csv(grid)
@@ -169,6 +181,15 @@ def assert_written_as_oracles(grid, tmp_path):
 # column reports and rates at random.
 SPECIAL = (0.0, -0.0, 5e-324, 1e16, 1e+16 + 2.0, -1.5e-7, 123.456,
            float("inf"), float("-inf"), float("nan"))
+
+# Thresholds of every kind, and with SNRs that are easy to misspell; a
+# threshold grid's cells and a rate grid's zero crossings come from these.
+THRESHOLDS = tuple(SnrThreshold(*kind) for kind in (
+    (ThresholdKind.THRESHOLD, 12.5), (ThresholdKind.ALWAYS_POSITIVE, None),
+    (ThresholdKind.INFEASIBLE, None), (ThresholdKind.THRESHOLD, float("inf")),
+    (ThresholdKind.THRESHOLD, -0.0), (ThresholdKind.THRESHOLD, float("nan")),
+    (ThresholdKind.THRESHOLD, 5e-324), (ThresholdKind.THRESHOLD, 1e16),
+    (ThresholdKind.THRESHOLD, float("-inf"))))
 
 
 def _fresh(value: float) -> float:
@@ -205,8 +226,8 @@ def _special(k: int) -> float:
 
 
 def _special_rate_grid():
-    """Every special value in every written field, shuffled, and ``None``
-    crossings."""
+    """Every special value in every written field, shuffled, and crossings
+    of every threshold kind."""
     n = len(SPECIAL)
     bob_reports = tuple(SecrecyReport(*[_special(i + 3 * k) for k in range(6)])
                         for i in range(n))
@@ -216,16 +237,11 @@ def _special_rate_grid():
                   for i in range(n))
     return RateSweepGrid(SPECIAL, SPECIAL[3:] + SPECIAL[:3],
                          RateCells(bob_reports, eve_reports, rates),
-                         tuple(None if j % 3 else _special(j) for j in range(n)))
+                         tuple(THRESHOLDS[j % len(THRESHOLDS)] for j in range(n)))
 
 
 def _special_threshold_grid():
-    kinds = ((ThresholdKind.THRESHOLD, 12.5), (ThresholdKind.ALWAYS_POSITIVE, None),
-             (ThresholdKind.INFEASIBLE, None), (ThresholdKind.THRESHOLD, float("inf")),
-             (ThresholdKind.THRESHOLD, -0.0), (ThresholdKind.THRESHOLD, float("nan")),
-             (ThresholdKind.THRESHOLD, 5e-324), (ThresholdKind.THRESHOLD, 1e16),
-             (ThresholdKind.THRESHOLD, float("-inf")))
-    cells = tuple(tuple(SnrThreshold(*kinds[(i + 2 * j) % len(kinds)])
+    cells = tuple(tuple(THRESHOLDS[(i + 2 * j) % len(THRESHOLDS)]
                         for j in range(5)) for i in range(3))
     return ThresholdSweepGrid((0, 14, 32), (5e-324, 1e-15, 1e-15 * 3, 1e16, 2.0),
                               cells)
@@ -252,12 +268,15 @@ def test_grid_writers_match_their_oracles(tmp_path, name):
 
 
 def test_contract_grids_hold_every_threshold_kind():
-    # A physical sweep never meets ALWAYS_POSITIVE; the hand-built grid does.
+    # A fig3b sweep's noiseless Eve never meets ALWAYS_POSITIVE; the
+    # hand-built grids do.
     def kinds(grid):
         return {cell.kind for row in grid.cells for cell in row}
     assert kinds(_generated_threshold_grid()) == {ThresholdKind.THRESHOLD,
                                                   ThresholdKind.INFEASIBLE}
     assert kinds(_special_threshold_grid()) == set(ThresholdKind)
+    assert {crossing.kind for crossing
+            in _special_rate_grid().zero_crossing_bob_snr_db} == set(ThresholdKind)
 
 
 @st.composite
@@ -277,7 +296,8 @@ def rate_grids(draw):
     cells = RateCells(reports(n_rows), reports(n_columns),
                       tuple(values(n_columns) for _ in range(n_rows)))
     return RateSweepGrid(values(n_rows), values(n_columns), cells,
-                         tuple(draw(st.none() | value) for _ in range(n_columns)))
+                         tuple(draw(st.sampled_from(THRESHOLDS))
+                               for _ in range(n_columns)))
 
 
 @settings(max_examples=60, deadline=None)

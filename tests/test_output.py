@@ -60,8 +60,9 @@ def reference_rate_grid_csv(grid, path):
 
 def reference_rate_contour_csv(grid, path):
     return _reference_csv(
-        path, ["eve_snr_db", "bob_snr_db_zero_crossing"],
-        ([_fmt(se), "" if crossing is None else _fmt(crossing)]
+        path, ["eve_snr_db", "kind", "min_bob_snr_db"],
+        ([_fmt(se), crossing.kind.value,
+          "" if crossing.snr_db is None else _fmt(crossing.snr_db)]
          for se, crossing in zip(grid.eve_snr_db,
                                  grid.zero_crossing_bob_snr_db)))
 
@@ -202,16 +203,18 @@ def test_trace_csv_child_exit_status_is_checked(base_trace, monkeypatch,
 
 @pytest.fixture(scope="module")
 def rate_grid():
-    # The bob axis stops below the 40 dB and 80 dB columns' crossings, so
-    # those columns have none; the -5 dB column turns positive on its first
-    # cell and the 10 dB column between cells.
+    # The -200 dB column is positive at any Bob SNR (ALWAYS_POSITIVE); the
+    # -30 dB column's crossing lies below the bob axis, the 10 dB column's
+    # on it, and the 40 dB and 80 dB columns' above it.
     grid = sweep_rate_vs_snr(SystemParams(**HEADLINE_POINT),
                              [-10.0, -2.5, 0.0, 7.0, 20.0],
-                             [-30.0, -5.0, 10.0, 40.0, 80.0])
+                             [-200.0, -30.0, 10.0, 40.0, 80.0])
     positives = {cell.positive for row in grid.cells for cell in row}
     assert positives == {True, False}
-    assert None in grid.zero_crossing_bob_snr_db
-    assert sum(c is not None for c in grid.zero_crossing_bob_snr_db) >= 2
+    crossings = grid.zero_crossing_bob_snr_db
+    assert crossings[0].kind == ThresholdKind.ALWAYS_POSITIVE
+    assert crossings[1].snr_db < -10.0 < crossings[2].snr_db < 20.0
+    assert 20.0 < crossings[3].snr_db < crossings[4].snr_db
     return grid
 
 
@@ -225,6 +228,18 @@ def test_rate_contour_csv_matches_reference(rate_grid, tmp_path):
                       reference_rate_contour_csv, rate_grid, tmp_path)
 
 
+def test_rate_contour_csv_matches_reference_when_infeasible(tmp_path):
+    # A 2-bit Bob ADC is too coarse for any Bob SNR at Eve SNR 80 dB.
+    params = dataclasses.replace(
+        SystemParams(**HEADLINE_POINT),
+        bob_adc=dataclasses.replace(HEADLINE_POINT["bob_adc"], explicit_bits=2.0))
+    grid = sweep_rate_vs_snr(params, [0.0, 10.0], [-10.0, 80.0])
+    assert [c.kind for c in grid.zero_crossing_bob_snr_db] == [
+        ThresholdKind.THRESHOLD, ThresholdKind.INFEASIBLE]
+    assert_same_bytes(output.write_rate_contour_csv,
+                      reference_rate_contour_csv, grid, tmp_path)
+
+
 def test_threshold_grid_csv_matches_reference_on_sweep(tmp_path):
     grid = sweep_min_bob_snr(SystemParams(**HEADLINE_POINT), [0, 1, 14, 30],
                              [1e-15, 5e-13, 5e-10])
@@ -235,7 +250,8 @@ def test_threshold_grid_csv_matches_reference_on_sweep(tmp_path):
 
 
 def test_threshold_grid_csv_matches_reference_all_kinds(tmp_path):
-    # ALWAYS_POSITIVE needs unphysical parameters, so the grid is built by hand.
+    # A fig3b sweep's noiseless Eve never gives ALWAYS_POSITIVE, so the grid
+    # is built by hand.
     grid = ThresholdSweepGrid(
         (0, 7, 40), (1e-15, 2.5e-13),
         ((SnrThreshold(ThresholdKind.ALWAYS_POSITIVE),

@@ -278,27 +278,49 @@ class TestRateSweep:
                      for i in range(len(grid.bob_snr_db))]
             assert all(b > a for a, b in zip(rates, rates[1:]))
 
-    def test_zero_crossing_contour_from_independent_sign_scan(self, headline_params):
-        bob_axis = [float(v) for v in range(0, 61, 1)]
-        eve_axis = [float(v) for v in range(20, 81, 5)]
-        grid = sweep_rate_vs_snr(headline_params, bob_axis, eve_axis)
-        # independent scan: first bob index with positive rate, per column
+    @staticmethod
+    def scanned_crossing_kinds(params) -> set:
+        """Check each column's crossing against an independent scan for the
+        column's first positive cell; the (kind, first index) pairs seen."""
+        bob_axis = [float(v) for v in range(-5, 26)]
+        # Eve at -200 dB makes her ratio round to 1 (ALWAYS_POSITIVE).
+        eve_axis = [-200.0] + [float(v) for v in range(-20, 81, 5)]
+        grid = sweep_rate_vs_snr(params, bob_axis, eve_axis)
         first_positive = []
+        seen = set()
         for j in range(len(eve_axis)):
             rates = [grid.cells[i][j].rate_bits_per_s
                      for i in range(len(bob_axis))]
             idx = next((i for i, r in enumerate(rates) if r > 0), None)
             first_positive.append(idx)
             crossing = grid.zero_crossing_bob_snr_db[j]
-            if idx is None:
-                assert crossing is None
+            seen.add((crossing.kind, idx))
+            if crossing.kind == ThresholdKind.ALWAYS_POSITIVE:
+                assert idx == 0
+            elif crossing.kind == ThresholdKind.INFEASIBLE:
+                assert idx is None
+            elif idx is None:
+                assert crossing.snr_db > bob_axis[-1]
             elif idx == 0:
-                assert crossing == bob_axis[0]
+                assert crossing.snr_db <= bob_axis[0]
             else:
-                assert bob_axis[idx - 1] < crossing <= bob_axis[idx]
+                assert bob_axis[idx - 1] < crossing.snr_db <= bob_axis[idx]
         # contour monotone in the eavesdropper SNR
         indices = [i for i in first_positive if i is not None]
         assert all(b >= a for a, b in zip(indices, indices[1:]))
+        return seen
+
+    def test_zero_crossing_contour_from_independent_sign_scan(self, headline_params):
+        seen = self.scanned_crossing_kinds(headline_params)
+        assert {(ThresholdKind.ALWAYS_POSITIVE, 0), (ThresholdKind.THRESHOLD, 0),
+                (ThresholdKind.THRESHOLD, None)} <= seen
+        assert any(kind == ThresholdKind.THRESHOLD and idx for kind, idx in seen)
+
+    def test_zero_crossing_contour_when_infeasible(self, headline_params):
+        # A 2-bit Bob ADC: no Bob SNR helps at the high Eve SNR columns.
+        seen = self.scanned_crossing_kinds(dataclasses.replace(
+            headline_params, bob_adc=AdcSpec(500e-15, explicit_bits=2.0)))
+        assert (ThresholdKind.INFEASIBLE, None) in seen
 
     def test_builds_one_report_per_row_and_column(self, headline_params,
                                                   monkeypatch, tmp_path):

@@ -5,7 +5,9 @@ reference below is the per-cell form they replaced: one ``SystemParams``
 per cell (and a fresh eavesdropper ``AdcSpec`` per fig3b cell) passed to
 ``secrecy_rate`` or ``min_bob_snr_for_positive_rs``. Every cell must have
 the same ``repr``, so a moved bit, a -0.0 for a 0.0 or an int for a float
-fails, and the zero-rate crossings must be the same too.
+fails. Each column's zero-rate crossing must have the ``repr`` of
+``min_bob_snr_for_positive_rs`` at that column's eavesdropper noise: its
+kind and its SNR, wherever it lies against the legitimate-SNR axis.
 """
 
 from dataclasses import replace
@@ -14,19 +16,8 @@ import pytest
 
 from jkelab import config as cfg
 from jkelab.params import AdcSpec, SnrPoint, SystemParams, snr_to_noise_var
-from jkelab.secrecy import (min_bob_snr_for_positive_rs, secrecy_rate,
-                            sweep_min_bob_snr, sweep_rate_vs_snr)
-
-
-def reference_zero_crossing(snr_values, rates):
-    for k, r in enumerate(rates):
-        if r > 0:
-            if k == 0:
-                return snr_values[0]
-            r_prev = rates[k - 1]
-            return snr_values[k - 1] + (snr_values[k] - snr_values[k - 1]) * (
-                -r_prev) / (r - r_prev)
-    return None
+from jkelab.secrecy import (ThresholdKind, min_bob_snr_for_positive_rs,
+                            secrecy_rate, sweep_min_bob_snr, sweep_rate_vs_snr)
 
 
 def reference_rate_grid(template, bob_axis, eve_axis):
@@ -39,9 +30,9 @@ def reference_rate_grid(template, bob_axis, eve_axis):
                 snr_to_noise_var(SnrPoint(se), p)))
             for se in eve_axis))
     crossings = tuple(
-        reference_zero_crossing(bob_axis, [rows[i][j].rate_bits_per_s
-                                           for i in range(len(bob_axis))])
-        for j in range(len(eve_axis)))
+        min_bob_snr_for_positive_rs(
+            template.with_eve_noise_var(snr_to_noise_var(SnrPoint(se), p)))
+        for se in eve_axis)
     return tuple(rows), crossings
 
 
@@ -95,7 +86,37 @@ def shipped(name):
 def test_shipped_fig3a_axes():
     template, (bob_axis, eve_axis) = shipped("fig3a")
     grid = check_rate_sweep(template, bob_axis, eve_axis)
-    assert any(c is not None for c in grid.zero_crossing_bob_snr_db)
+    # The 0 dB column's crossing lies just below the axis, and is not
+    # clamped to it.
+    crossings = [c.snr_db for c in grid.zero_crossing_bob_snr_db]
+    assert crossings[0] < bob_axis[0] < crossings[1]
+
+
+def test_fig3a_crossing_does_not_depend_on_the_bob_step():
+    # A crossing is the closed form, not read off the grid, so the Bob step
+    # cannot move it.
+    template, (bob_axis, eve_axis) = shipped("fig3a")
+    fine = check_rate_sweep(template, bob_axis, eve_axis)
+    coarse = check_rate_sweep(template, linear(0.0, 60.0, 10.0), eve_axis)
+    assert coarse.zero_crossing_bob_snr_db == fine.zero_crossing_bob_snr_db
+
+
+def test_fig3a_crossings_of_every_kind():
+    # At an Eve SNR of -200 dB her ratio K rounds to 1.0, so the rate is
+    # positive at any Bob SNR; with a 2-bit Bob ADC no Bob SNR helps.
+    template, _ = shipped("fig3a")
+    eve_axis = [-200.0, -10.0, 0.0, 40.0, 80.0]
+    grid = check_rate_sweep(template, linear(10.0, 20.0, 5.0), eve_axis)
+    kinds = [c.kind for c in grid.zero_crossing_bob_snr_db]
+    assert kinds == [ThresholdKind.ALWAYS_POSITIVE] + [ThresholdKind.THRESHOLD] * 4
+    snrs = [c.snr_db for c in grid.zero_crossing_bob_snr_db[1:]]
+    assert snrs[0] < snrs[1] < 10.0 < 20.0 < snrs[2] < snrs[3]
+    coarse_bob = replace(template, bob_adc=AdcSpec(500e-15, explicit_bits=2))
+    grid = check_rate_sweep(coarse_bob, linear(0.0, 60.0, 10.0), eve_axis)
+    kinds = [c.kind for c in grid.zero_crossing_bob_snr_db]
+    assert kinds == ([ThresholdKind.ALWAYS_POSITIVE]
+                     + [ThresholdKind.THRESHOLD] * 2
+                     + [ThresholdKind.INFEASIBLE] * 2)
 
 
 def test_shipped_fig3b_axes():
