@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .params import KeyMaterial, check_jamming_bits
+from .params import KeyMaterial, check_jamming_bits, check_symbol_count
 
 _DOMAIN = b"jkelab-jamming-v1"
 
@@ -40,8 +40,7 @@ def jamming_stream(seed: KeyMaterial, bits_per_symbol: int, n_symbols: int,
     w = check_jamming_bits(bits_per_symbol, "bits per symbol")
     if w < 1:
         raise ValueError("bits per symbol must be at least 1")
-    if not n_symbols >= 1:
-        raise ValueError("symbol count must be at least 1")
+    check_symbol_count(n_symbols)
     if not 0 < jam_scale < math.inf:
         raise ValueError("jamming scale must be positive and finite")
 

@@ -189,6 +189,16 @@ def check_jamming_bits(w, name: str = "jamming bits per symbol"):
     return w
 
 
+def check_symbol_count(n_symbols):
+    """``n_symbols`` itself, if it can be a session's or a jamming
+    stream's length: an integer of at least 1."""
+    if (isinstance(n_symbols, bool)
+            or not isinstance(n_symbols, numbers.Integral) or n_symbols < 1):
+        raise ValidationError("symbol count must be an integer of at least "
+                              f"1, got {n_symbols!r}")
+    return n_symbols
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Check every operating-point invariant; raise on the first violation,
     naming it. Idempotent: returns ``params`` unchanged on success."""

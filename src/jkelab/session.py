@@ -15,13 +15,14 @@ sees the quantized record, never the pre-quantization waveform.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adc
 from .jamming import JammingStream, jamming_stream
-from .params import KeyMaterial, SystemParams, validate
+from .params import KeyMaterial, SystemParams, check_symbol_count, validate
 
 # Cancellation headroom (bits) demanded beyond the jamming resolution
 # before the residual is considered harmless; at zero headroom the residual
@@ -111,13 +112,14 @@ def _encode_key(key: KeyMaterial, signal_power: float) -> np.ndarray:
 
 
 def _bob_errors(key: KeyMaterial, bit_amplitudes: np.ndarray,
-                bob_post: np.ndarray) -> tuple:
+                bob_post: np.ndarray, out: np.ndarray) -> tuple:
     """Symbol sign errors, then the majority vote per key bit over its
     repetition positions: returns (symbol error count, key bit error
-    count, bits covered by at least one symbol)."""
+    count, bits covered by at least one symbol). The signs of
+    ``bob_post`` go to ``out``."""
     # Rows of n_bits symbols, so that column j holds key bit j, plus the
     # partial last row.
-    signs = np.sign(bob_post)
+    signs = np.sign(bob_post, out=out)
     full = len(signs) - len(signs) % key.n_bits
     rows, tail = signs[:full].reshape(-1, key.n_bits), signs[full:]
     bit_signs = np.sign(bit_amplitudes)
@@ -144,8 +146,7 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
     stream (derived from ``rng_seed`` when omitted).
     """
     validate(params)
-    if not n_symbols >= 1:
-        raise ValueError("symbol count must be at least 1")
+    check_symbol_count(n_symbols)
 
     p = params.signal_power
     w = params.jamming_bits_per_symbol
@@ -163,53 +164,64 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
             f"with {cancel.depth_db:g} dB depth "
             f"({cancel.residual_bits:.2f} bits < w + {WARN_MARGIN_BITS:g})")
 
-    bit_amplitudes = _encode_key(key, p)
-    clean = np.resize(bit_amplitudes, n_symbols)
-    if w > 0:
-        jam = jamming_stream(jamming_seed, w, n_symbols, jam_scale).symbols
-    else:
-        jam = np.zeros(n_symbols)
-    bob_noise = rng.normal(0.0, math.sqrt(params.bob_noise_var), n_symbols)
-    eve_noise = rng.normal(0.0, math.sqrt(params.eve_noise_var), n_symbols)
+    with _NoiseDraws(rng, (math.sqrt(params.bob_noise_var),
+                           math.sqrt(params.eve_noise_var)),
+                     n_symbols) as noise:
+        bit_amplitudes = _encode_key(key, p)
+        clean = np.resize(bit_amplitudes, n_symbols)
+        if w > 0:
+            jam = jamming_stream(jamming_seed, w, n_symbols, jam_scale).symbols
+        else:
+            jam = np.zeros(n_symbols)
 
-    # clean + jam is formed once, for both receivers, in eve_rx's buffer.
-    eve_rx = clean + jam
-    bob_rx = eve_rx + bob_noise
-    eve_rx += eve_noise
+        # clean + jam is formed once, for both receivers, in eve_rx's
+        # buffer. Bob's chain runs while Eve's noise is still being drawn.
+        eve_rx = clean + jam
+        bob_noise = noise.array(0)
+        bob_rx = eve_rx + bob_noise
 
-    # Analog-domain cancellation happens before the ADC, so the quantizer
-    # only spans the useful signal plus whatever residual survives.
-    # ``scratch`` holds bob_pre, then each statistic's operand in turn.
-    residual_gain = 1.0 - cancel.residual_amplitude_factor
-    scratch = np.multiply(jam, residual_gain)
-    np.subtract(bob_rx, scratch, out=scratch)
-    bob_q = adc.QuantizerConfig.for_signal(p, params.bob_bits(),
-                                           params.dynamic_range_factor)
-    bob_post = adc.quantize(scratch, bob_q)
+        # Analog-domain cancellation happens before the ADC, so the
+        # quantizer only spans the useful signal plus whatever residual
+        # survives. ``scratch`` holds bob_pre, then each statistic's
+        # operand in turn.
+        residual_gain = 1.0 - cancel.residual_amplitude_factor
+        scratch = np.multiply(jam, residual_gain)
+        np.subtract(bob_rx, scratch, out=scratch)
+        bob_q = adc.QuantizerConfig.for_signal(p, params.bob_bits(),
+                                               params.dynamic_range_factor)
+        bob_post = adc.quantize(scratch, bob_q)
 
-    eve_q = adc.QuantizerConfig.for_jammed_signal(
-        p, params.eve_bits(), w, params.dynamic_range_factor)
-    eve_stored = adc.quantize(eve_rx, eve_q)
-    eve_post = eve_stored - jam
+        eve_noise = noise.array(1)
+        eve_rx += eve_noise
+        eve_q = adc.QuantizerConfig.for_jammed_signal(
+            p, params.eve_bits(), w, params.dynamic_range_factor)
+        eve_stored = adc.quantize(eve_rx, eve_q)
+        eve_post = eve_stored - jam
 
-    symbol_errors, bit_errors, bits_covered = _bob_errors(
-        key, bit_amplitudes, bob_post)
-    signal_power_emp = float(np.mean(np.square(clean, out=scratch)))
-    residual_jamming_power = float(np.var(
-        np.multiply(jam, cancel.residual_amplitude_factor, out=scratch)))
-    bob_effective_snr = _effective_snr(
-        signal_power_emp, np.subtract(bob_post, clean, out=scratch))
-    eve_pre_attack_snr = _effective_snr(
-        signal_power_emp, np.subtract(eve_rx, clean, out=scratch))
+        symbol_errors, bit_errors, bits_covered = _bob_errors(
+            key, bit_amplitudes, bob_post, out=scratch)
+        signal_power_emp = float(np.mean(np.square(clean, out=scratch)))
+        residual_jamming_power = _variance(
+            np.multiply(jam, cancel.residual_amplitude_factor, out=scratch),
+            out=scratch)
+        bob_effective_snr = _effective_snr(
+            signal_power_emp, np.subtract(bob_post, clean, out=scratch),
+            out=scratch)
+        eve_pre_attack_snr = _effective_snr(
+            signal_power_emp, np.subtract(eve_rx, clean, out=scratch),
+            out=scratch)
+        # Joins the helper; its scratch buffer is free from here on.
+        bob_noise_var, eve_noise_var, spare = noise.result()
     eve_post_attack_snr, eve_residual_var = _post_attack(
-        signal_power_emp, eve_post, clean, eve_noise, out=scratch)
+        signal_power_emp, eve_post, clean, eve_noise, out=scratch,
+        spare=spare)
     stats = {
         "n_symbols": int(n_symbols),
         "signal_power_emp": signal_power_emp,
-        "jamming_power_emp": float(np.var(jam)),
+        "jamming_power_emp": _variance(jam, out=scratch),
         "residual_jamming_power": residual_jamming_power,
-        "bob_noise_var_emp": float(np.var(bob_noise)),
-        "eve_noise_var_emp": float(np.var(eve_noise)),
+        "bob_noise_var_emp": bob_noise_var,
+        "eve_noise_var_emp": eve_noise_var,
         "delta_b": bob_q.step,
         "delta_e": eve_q.step,
         "bob_symbol_errors": symbol_errors,
@@ -235,10 +247,23 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
                     stats=stats, warnings=tuple(warnings))
 
 
-def _effective_snr(signal_power_emp: float, error: np.ndarray) -> float:
+def _variance(x: np.ndarray, out: np.ndarray) -> float:
+    """``float(np.var(x))`` bit for bit, for a 1-D float64 ``x``, by
+    NumPy's own steps, but with the squared deviations formed in ``out``
+    (which may be ``x`` itself) instead of a new full-length array."""
+    n = len(x)
+    mean = np.add.reduce(x, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    np.subtract(x, mean, out=out)
+    np.square(out, out=out)
+    return float(np.add.reduce(out) / n)
+
+
+def _effective_snr(signal_power_emp: float, error: np.ndarray,
+                   out: np.ndarray) -> float:
     """Empirical signal power over the variance of ``error``, the observed
-    sequence minus the clean signal."""
-    err_var = float(np.var(error))
+    sequence minus the clean signal; ``out`` is the variance's scratch."""
+    err_var = _variance(error, out)
     if err_var == 0.0:
         return math.inf
     return signal_power_emp / err_var
@@ -246,14 +271,88 @@ def _effective_snr(signal_power_emp: float, error: np.ndarray) -> float:
 
 def _post_attack(signal_power_emp: float, eve_post: np.ndarray,
                  clean: np.ndarray, eve_noise: np.ndarray,
-                 out: np.ndarray) -> tuple:
+                 out: np.ndarray, spare: np.ndarray) -> tuple:
     """(post-attack SNR, residual variance) of ``eve_post``, the stored
     record minus a jamming stream: its error is ``eve_post - clean``, and
     the residual is what that error holds beyond the eavesdropper's
-    channel noise. ``out`` may be ``eve_post`` itself."""
+    channel noise. ``out`` may be ``eve_post`` itself; ``spare`` is a
+    scratch buffer of the same length."""
     error = np.subtract(eve_post, clean, out=out)
-    snr = _effective_snr(signal_power_emp, error)
-    return snr, float(np.var(np.subtract(error, eve_noise, out=error)))
+    snr = _effective_snr(signal_power_emp, error, out=spare)
+    return snr, _variance(np.subtract(error, eve_noise, out=error), out=error)
+
+
+class _NoiseDraws:
+    """Bob's and then Eve's channel noise, drawn from ``rng`` on a helper
+    thread in that order, and then their two variances.
+
+    The draws release the GIL, so they overlap the jamming and Bob's
+    quantizer on the calling thread. The helper calls nothing else of
+    the package, so every traced layer keeps running on the caller's
+    thread. Leaving the ``with`` block joins the helper, so no thread
+    outlives the session (``output.write_trace_csv`` forks).
+    """
+
+    def __init__(self, rng: np.random.Generator, scales: tuple,
+                 n_symbols: int):
+        # Every full-length buffer is allocated here, on the caller's
+        # thread: glibc gives each thread its own malloc arena, and one
+        # that the helper allocated would stay in the helper's arena once
+        # freed (peak RSS rose by about 20 MB at 3e6 symbols).
+        self._arrays = [np.empty(n_symbols) for _ in scales]
+        self._spare = np.empty(n_symbols)
+        self._ready = [threading.Event() for _ in scales]
+        self._drawn = 0
+        self._variances = None
+        self._error = None
+        # A new thread starts with NumPy's default floating-point error
+        # handling; the helper takes the caller's (the CLI raises on
+        # overflow).
+        self._thread = threading.Thread(
+            target=self._run, name="jkelab-noise",
+            args=(rng, scales, dict(np.geterr(), call=np.geterrcall())))
+
+    def __enter__(self) -> "_NoiseDraws":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
+
+    def _run(self, rng, scales, errstate) -> None:
+        try:
+            with np.errstate(**errstate):
+                for noise, scale, ready in zip(self._arrays, scales,
+                                               self._ready):
+                    # rng.normal(0.0, scale, n) bit for bit, which forms
+                    # 0.0 + scale * z from the same stream of z.
+                    rng.standard_normal(out=noise)
+                    np.multiply(noise, scale, out=noise)
+                    np.add(noise, 0.0, out=noise)
+                    self._drawn += 1
+                    ready.set()
+                self._variances = [_variance(noise, out=self._spare)
+                                   for noise in self._arrays]
+        except BaseException as exc:  # re-raised on the caller's thread
+            self._error = exc
+        finally:
+            for ready in self._ready:
+                ready.set()
+
+    def array(self, i: int) -> np.ndarray:
+        """Noise array ``i``, once drawn."""
+        self._ready[i].wait()
+        if self._drawn <= i:
+            raise self._error
+        return self._arrays[i]
+
+    def result(self) -> tuple:
+        """(Bob's noise variance, Eve's noise variance, the helper's
+        scratch buffer), once the helper has finished."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return (*self._variances, self._spare)
 
 
 def true_jamming_stream(trace: SimTrace) -> JammingStream:
@@ -306,7 +405,7 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
         cleaned = trace.eve_stored - jamming.symbols
         post_attack_snr, residual_var = _post_attack(
             trace.stats["signal_power_emp"], cleaned, trace.clean_signal,
-            trace.eve_noise, out=cleaned)
+            trace.eve_noise, out=cleaned, spare=np.empty_like(cleaned))
     return EveAttackReport(
         n_symbols=len(trace),
         residual_var=residual_var,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from jkelab import KeyMaterial, jamming_stream
+from jkelab import KeyMaterial, ValidationError, jamming_stream
 
 
 class TestGeneration:
@@ -52,6 +52,15 @@ class TestGeneration:
             jamming_stream(seed, 8, 0, 1.0)
         with pytest.raises(ValueError):
             jamming_stream(seed, 8, 10, 0.0)
+
+    # Each of these once failed inside hashlib or NumPy with an unnamed
+    # TypeError, or (True) gave a one-symbol stream.
+    @pytest.mark.parametrize("n_symbols", [3.0, 2.5, True, "7", np.float64(4)],
+                             ids=repr)
+    def test_symbol_count_must_be_an_integer(self, n_symbols):
+        with pytest.raises(ValidationError, match="symbol count must be an "
+                                                  "integer of at least 1"):
+            jamming_stream(KeyMaterial.random(seed=1), 8, n_symbols, 1.0)
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_non_finite_scale_rejected(self, scale):

@@ -1,13 +1,17 @@
 import dataclasses
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jkelab import (AdcSpec, CancellationModel, KeyMaterial, SystemParams,
-                    cancellation_bits, eve_storage_attack, jamming_stream,
-                    run_jke_session, true_jamming_stream)
-from jkelab.session import WARN_MARGIN_BITS, default_jam_scale
+                    ValidationError, adc, cancellation_bits,
+                    eve_storage_attack, jamming_stream, kernels,
+                    run_jke_session, session, true_jamming_stream)
+from jkelab.session import WARN_MARGIN_BITS, _variance, default_jam_scale
 
 IDEAL = CancellationModel(math.inf)
 
@@ -139,6 +143,45 @@ class TestSession:
         with pytest.raises(ValueError):
             run_jke_session(bad, IDEAL, key, 100, rng_seed=1)
 
+    # Each of these once failed deep inside NumPy or hashlib, with an
+    # unnamed TypeError (True ran a one-symbol session).
+    @pytest.mark.parametrize("n_symbols", [2.5, 3.0, True, "7", None, -1],
+                             ids=repr)
+    def test_symbol_count_must_be_an_integer(self, headline_params,
+                                             monkeypatch, n_symbols):
+        # The count is refused on the caller's thread, before any helper
+        # thread starts.
+        def no_thread(self):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        with pytest.raises(ValidationError, match="symbol count must be an "
+                                                  "integer of at least 1"):
+            run_jke_session(headline_params, IDEAL, KeyMaterial.random(seed=1),
+                            n_symbols, rng_seed=1)
+
+    # The noise is Generator.normal's, byte for byte; with zero variance
+    # that is +0.0, never -0.0 (whose repr would change trace.csv).
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-3])
+    def test_noise_is_the_generators_normal_draw(self, headline_params,
+                                                noise_var):
+        point = headline_params.with_bob_noise_var(
+            noise_var).with_eve_noise_var(noise_var)
+        trace = run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
+                                1000, rng_seed=3)
+        rng = np.random.default_rng(3)
+        rng.bytes(32)  # the jamming seed
+        for noise in (trace.bob_noise, trace.eve_noise):
+            want = rng.normal(0.0, math.sqrt(noise_var), 1000)
+            assert noise.tobytes() == want.tobytes()
+
+    def test_numpy_integer_symbol_count(self, headline_params):
+        key = KeyMaterial.random(seed=1)
+        a = run_jke_session(headline_params, IDEAL, key, np.int64(300), 3)
+        b = run_jke_session(headline_params, IDEAL, key, 300, 3)
+        assert np.array_equal(a.eve_post, b.eve_post)
+        assert a.stats == b.stats
+
 
 class TestStorageAttack:
     def test_residual_variance_matches_quantization_noise(self, headline_params):
@@ -243,3 +286,157 @@ class TestStorageAttack:
         assert trace.stats["eve_residual_var"] == float(np.var(resid))
         assert trace.stats["bob_symbol_errors"] == int(
             np.sum(np.sign(trace.bob_post) != np.sign(trace.clean_signal)))
+
+
+def _variance_input(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        return rng.normal(1e3, 1.0, n)
+    if kind in ("inf", "-inf", "nan"):
+        x = rng.normal(0.0, 1.0, n)
+        x[n // 2] = float(kind)
+        return x
+    if kind == "negative zero":
+        return np.full(n, -0.0)
+    if kind == "subnormal":
+        return np.where(rng.random(n) < 0.5, 5e-324, -0.0)
+    assert kind == "constant"
+    return np.full(n, 0.1)
+
+
+class TestVariance:
+    """The session's in-place variance against ``float(np.var(x))``, over
+    lengths across NumPy's pairwise-summation block edges."""
+
+    @pytest.mark.parametrize("separate_out", [False, True])
+    @pytest.mark.parametrize("kind", ["normal", "inf", "-inf", "nan",
+                                      "negative zero", "subnormal",
+                                      "constant"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 10_007,
+                                   3_000_000])
+    def test_equals_numpy_var_bit_for_bit(self, n, kind, separate_out):
+        x = _variance_input(kind, n)
+        with np.errstate(all="ignore"):
+            want = float(np.var(x))
+            out = np.empty_like(x) if separate_out else x.copy()
+            got = _variance(x if separate_out else out, out=out)
+        assert (repr(got), math.copysign(1.0, got)) == (
+            repr(want), math.copysign(1.0, want))
+
+
+class _ScriptedGenerator:
+    """A real generator whose ``standard_normal`` (the session's noise
+    draw) sleeps ``delay`` seconds before each draw, and raises ``error``
+    on call ``fail_at`` (0 is Bob's noise, 1 is Eve's)."""
+
+    def __init__(self, seed, fail_at=None, error=None, delay=0.0):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._fail_at, self._error, self._delay = fail_at, error, delay
+        self._calls = 0
+
+    def bytes(self, n):
+        return self._rng.bytes(n)
+
+    def standard_normal(self, *args, **kwargs):
+        time.sleep(self._delay)
+        if self._calls == self._fail_at:
+            raise self._error
+        self._calls += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+class TestHelperThread:
+    """The session draws its noise on one helper thread. No thread
+    outlives it, whether it returns or raises (``output.write_trace_csv``
+    forks right after it), and every layer the benchmark traces runs on
+    the caller's thread."""
+
+    def test_no_thread_outlives_a_session(self, headline_params):
+        before = threading.active_count()
+        run_jke_session(headline_params, IDEAL, KeyMaterial.random(seed=1),
+                        5000, rng_seed=3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_helper_error_reaches_the_caller(self, headline_params,
+                                             monkeypatch, fail_at):
+        error = MemoryError("no room for the noise")
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ScriptedGenerator(seed, fail_at,
+                                                            error))
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as raised:
+            run_jke_session(headline_params, IDEAL,
+                            KeyMaterial.random(seed=1), 5000, rng_seed=3)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    # A slow draw keeps the helper busy when the caller fails.
+    def test_caller_error_joins_the_helper(self, headline_params,
+                                           monkeypatch):
+        def broken(samples, config):
+            raise RuntimeError("quantizer failed")
+
+        monkeypatch.setattr(adc, "quantize", broken)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ScriptedGenerator(seed, delay=0.2))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="quantizer failed"):
+            run_jke_session(headline_params, IDEAL,
+                            KeyMaterial.random(seed=1), 5000, rng_seed=3)
+        assert threading.active_count() == before
+
+    def test_invalid_jam_scale_joins_the_helper(self, headline_params,
+                                                monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ScriptedGenerator(seed, delay=0.2))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="jamming scale"):
+            run_jke_session(headline_params, IDEAL,
+                            KeyMaterial.random(seed=1), 5000, rng_seed=3,
+                            jam_scale=0.0)
+        assert threading.active_count() == before
+
+    def test_traced_layers_run_on_the_callers_thread(self, headline_params,
+                                                     monkeypatch):
+        calls = []
+        for module, name in ((session, "jamming_stream"), (adc, "quantize"),
+                             (kernels, "quantize_midrise"),
+                             (kernels, "unpack_symbols")):
+            def record(*args, _original=getattr(module, name), _name=name,
+                       **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+        run_jke_session(headline_params, CancellationModel(60.0),
+                        KeyMaterial.random(seed=1), 5000, rng_seed=3)
+        assert {name for name, _ in calls} == {
+            "jamming_stream", "quantize", "quantize_midrise", "unpack_symbols"}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_helper_keeps_the_callers_floating_point_errors(
+            self, headline_params):
+        # Bob's noise variance overflows only in the helper's statistic:
+        # his receiver chain clips it. A new thread's NumPy state would
+        # warn and give inf; the caller's raises, as the CLI asks.
+        point = headline_params.with_bob_noise_var(1e308)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
+                                5000, rng_seed=3)
+
+    def test_peak_memory_stays_at_eleven_buffers(self, headline_params):
+        # Nine trace arrays, the caller's scratch buffer and the helper's
+        # (which stands in for the temporary np.var would allocate), plus
+        # Bob's sign comparisons at a byte per symbol.
+        n = 200_000
+        point = dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
+        key = KeyMaterial.random(seed=1)
+        run_jke_session(point, CancellationModel(60.0), key, n, rng_seed=3)
+        tracemalloc.start()
+        try:
+            run_jke_session(point, CancellationModel(60.0), key, n, rng_seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.25 * 8 * n
