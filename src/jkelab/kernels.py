@@ -28,14 +28,21 @@ def quantize_midrise(samples, step, full_scale):
     return levels
 
 
+# Bytes spanned by a symbol slot -> the width of the one load that reads it.
+_LOAD_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)
+
+
 def unpack_symbols(raw, n_symbols, bits_per_symbol):
     """Split a big-endian bit stream into ``n_symbols`` unsigned integers.
 
     ``raw`` must hold at least ``n_symbols * bits_per_symbol`` bits.
     Every ``8 / gcd(w, 8)`` symbols of ``w`` bits fill whole bytes, so
     each symbol slot of such a group sits at a fixed byte offset and bit
-    shift within the group: its column is assembled from at most five
-    strided byte slices, straight into the int64 result.
+    shift within the group: its column is one strided big-endian load of
+    1, 2, 4 or 8 bytes (offset + w is at most 39 bits), then one shift
+    and one mask, straight into the int64 result. The last rows of a
+    column, whose load would run past ``raw``, read a zero-padded copy of
+    its last bytes instead.
     """
     w = bits_per_symbol
     if len(raw) * 8 < n_symbols * w:
@@ -47,13 +54,19 @@ def unpack_symbols(raw, n_symbols, bits_per_symbol):
     for slot in range(min(period, n_symbols)):
         column = words[slot::period]
         first, offset = divmod(slot * w, 8)
-        n_bytes = (offset + w + 7) // 8
-        np.copyto(column, data[first::group_bytes][:len(column)])
-        for byte in range(first + 1, first + n_bytes):
-            column <<= 8
-            column |= data[byte::group_bytes][:len(column)]
-        if 8 * n_bytes > offset + w:
-            column >>= 8 * n_bytes - offset - w
-        if offset:
-            column &= (1 << w) - 1
+        width = _LOAD_BYTES[(offset + w + 7) // 8]
+        inside = min(len(column),
+                     max(0, (len(data) - first - width) // group_bytes + 1))
+        parts = [(column[:inside], data[first:])]
+        if inside < len(column):
+            tail = data[first + inside * group_bytes:]
+            parts.append((column[inside:],
+                          np.concatenate((tail, np.zeros(width, np.uint8)))))
+        for part, buffer in parts:
+            loaded = np.ndarray(len(part), f">u{width}", buffer,
+                                strides=(group_bytes,))
+            np.right_shift(loaded, 8 * width - offset - w, out=part,
+                           casting="unsafe")
+            if offset:
+                part &= (1 << w) - 1
     return words

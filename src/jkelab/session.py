@@ -164,9 +164,9 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
             f"with {cancel.depth_db:g} dB depth "
             f"({cancel.residual_bits:.2f} bits < w + {WARN_MARGIN_BITS:g})")
 
-    with _NoiseDraws(rng, (math.sqrt(params.bob_noise_var),
-                           math.sqrt(params.eve_noise_var)),
-                     n_symbols) as noise:
+    with _HelperThread(rng, (math.sqrt(params.bob_noise_var),
+                             math.sqrt(params.eve_noise_var)),
+                       n_symbols) as helper:
         bit_amplitudes = _encode_key(key, p)
         clean = np.resize(bit_amplitudes, n_symbols)
         if w > 0:
@@ -177,13 +177,13 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         # clean + jam is formed once, for both receivers, in eve_rx's
         # buffer. Bob's chain runs while Eve's noise is still being drawn.
         eve_rx = clean + jam
-        bob_noise = noise.array(0)
+        bob_noise = helper.array(0)
         bob_rx = eve_rx + bob_noise
 
         # Analog-domain cancellation happens before the ADC, so the
         # quantizer only spans the useful signal plus whatever residual
-        # survives. ``scratch`` holds bob_pre, then each statistic's
-        # operand in turn.
+        # survives. ``scratch`` holds bob_pre, then the caller's operands
+        # of the statistics.
         residual_gain = 1.0 - cancel.residual_amplitude_factor
         scratch = np.multiply(jam, residual_gain)
         np.subtract(bob_rx, scratch, out=scratch)
@@ -191,34 +191,35 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
                                                params.dynamic_range_factor)
         bob_post = adc.quantize(scratch, bob_q)
 
-        eve_noise = noise.array(1)
+        eve_noise = helper.array(1)
         eve_rx += eve_noise
         eve_q = adc.QuantizerConfig.for_jammed_signal(
             p, params.eve_bits(), w, params.dynamic_range_factor)
         eve_stored = adc.quantize(eve_rx, eve_q)
         eve_post = eve_stored - jam
 
-        symbol_errors, bit_errors, bits_covered = _bob_errors(
-            key, bit_amplitudes, bob_post, out=scratch)
-        signal_power_emp = float(np.mean(np.square(clean, out=scratch)))
-        residual_jamming_power = _variance(
-            np.multiply(jam, cancel.residual_amplitude_factor, out=scratch),
-            out=scratch)
-        bob_effective_snr = _effective_snr(
-            signal_power_emp, np.subtract(bob_post, clean, out=scratch),
-            out=scratch)
-        eve_pre_attack_snr = _effective_snr(
-            signal_power_emp, np.subtract(eve_rx, clean, out=scratch),
-            out=scratch)
-        # Joins the helper; its scratch buffer is free from here on.
-        bob_noise_var, eve_noise_var, spare = noise.result()
-    eve_post_attack_snr, eve_residual_var = _post_attack(
-        signal_power_emp, eve_post, clean, eve_noise, out=scratch,
-        spare=spare)
+        # Each statistic forms its operand in the scratch buffer of the
+        # thread that runs it.
+        ((symbol_errors, bit_errors, bits_covered), signal_power_emp,
+         residual_jamming_power, bob_error_var, eve_pre_error_var,
+         bob_noise_var, eve_noise_var, eve_post_error_var, eve_residual_var,
+         jamming_power_emp) = helper.share([
+             lambda out: _bob_errors(key, bit_amplitudes, bob_post, out),
+             lambda out: float(np.mean(np.square(clean, out=out))),
+             lambda out: _variance(np.multiply(
+                 jam, cancel.residual_amplitude_factor, out=out), out=out),
+             lambda out: _error_variance(bob_post, clean, out),
+             lambda out: _error_variance(eve_rx, clean, out),
+             lambda out: _variance(bob_noise, out=out),
+             lambda out: _variance(eve_noise, out=out),
+             lambda out: _error_variance(eve_post, clean, out),
+             lambda out: _residual_variance(eve_post, clean, eve_noise, out),
+             lambda out: _variance(jam, out=out),
+         ], scratch)
     stats = {
         "n_symbols": int(n_symbols),
         "signal_power_emp": signal_power_emp,
-        "jamming_power_emp": _variance(jam, out=scratch),
+        "jamming_power_emp": jamming_power_emp,
         "residual_jamming_power": residual_jamming_power,
         "bob_noise_var_emp": bob_noise_var,
         "eve_noise_var_emp": eve_noise_var,
@@ -228,9 +229,9 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         "bob_symbol_error_rate": symbol_errors / n_symbols,
         "bob_key_bit_errors": bit_errors,
         "bob_key_bits_covered": bits_covered,
-        "bob_effective_snr": bob_effective_snr,
-        "eve_pre_attack_snr": eve_pre_attack_snr,
-        "eve_post_attack_snr": eve_post_attack_snr,
+        "bob_effective_snr": _snr(signal_power_emp, bob_error_var),
+        "eve_pre_attack_snr": _snr(signal_power_emp, eve_pre_error_var),
+        "eve_post_attack_snr": _snr(signal_power_emp, eve_post_error_var),
         "eve_residual_var": eve_residual_var,
         "insufficient_cancellation": bool(warnings),
     }
@@ -259,38 +260,41 @@ def _variance(x: np.ndarray, out: np.ndarray) -> float:
     return float(np.add.reduce(out) / n)
 
 
-def _effective_snr(signal_power_emp: float, error: np.ndarray,
-                   out: np.ndarray) -> float:
-    """Empirical signal power over the variance of ``error``, the observed
-    sequence minus the clean signal; ``out`` is the variance's scratch."""
-    err_var = _variance(error, out)
+def _error_variance(observed: np.ndarray, clean: np.ndarray,
+                    out: np.ndarray) -> float:
+    """Variance of the error ``observed - clean``, formed in ``out`` (which
+    may be ``observed`` itself)."""
+    return _variance(np.subtract(observed, clean, out=out), out=out)
+
+
+def _residual_variance(observed: np.ndarray, clean: np.ndarray,
+                       noise: np.ndarray, out: np.ndarray) -> float:
+    """Variance of what the error ``observed - clean`` holds beyond the
+    channel ``noise``, formed in ``out`` (which may be ``observed``
+    itself)."""
+    error = np.subtract(observed, clean, out=out)
+    return _variance(np.subtract(error, noise, out=error), out=error)
+
+
+def _snr(signal_power_emp: float, err_var: float) -> float:
+    """Empirical signal power over an error variance; infinite for an
+    error-free observation."""
     if err_var == 0.0:
         return math.inf
     return signal_power_emp / err_var
 
 
-def _post_attack(signal_power_emp: float, eve_post: np.ndarray,
-                 clean: np.ndarray, eve_noise: np.ndarray,
-                 out: np.ndarray, spare: np.ndarray) -> tuple:
-    """(post-attack SNR, residual variance) of ``eve_post``, the stored
-    record minus a jamming stream: its error is ``eve_post - clean``, and
-    the residual is what that error holds beyond the eavesdropper's
-    channel noise. ``out`` may be ``eve_post`` itself; ``spare`` is a
-    scratch buffer of the same length."""
-    error = np.subtract(eve_post, clean, out=out)
-    snr = _effective_snr(signal_power_emp, error, out=spare)
-    return snr, _variance(np.subtract(error, eve_noise, out=error), out=error)
+class _HelperThread:
+    """The session's one helper thread. It draws Bob's and then Eve's
+    channel noise from ``rng``, and then works through the session's
+    statistics beside the caller (:meth:`share`).
 
-
-class _NoiseDraws:
-    """Bob's and then Eve's channel noise, drawn from ``rng`` on a helper
-    thread in that order, and then their two variances.
-
-    The draws release the GIL, so they overlap the jamming and Bob's
-    quantizer on the calling thread. The helper calls nothing else of
-    the package, so every traced layer keeps running on the caller's
-    thread. Leaving the ``with`` block joins the helper, so no thread
-    outlives the session (``output.write_trace_csv`` forks).
+    The draws and the statistics release the GIL, so the draws overlap
+    the jamming and Bob's quantizer, and the two threads take the
+    statistics in parallel. The helper calls nothing else of the package,
+    so every traced layer keeps running on the caller's thread. Leaving
+    the ``with`` block joins the helper, so no thread outlives the session
+    (``output.write_trace_csv`` forks).
     """
 
     def __init__(self, rng: np.random.Generator, scales: tuple,
@@ -303,25 +307,31 @@ class _NoiseDraws:
         self._spare = np.empty(n_symbols)
         self._ready = [threading.Event() for _ in scales]
         self._drawn = 0
-        self._variances = None
         self._error = None
+        self._shared = threading.Event()
+        self._claim = threading.Lock()
+        self._entries = self._results = self._errors = ()
+        self._next = 0
         # A new thread starts with NumPy's default floating-point error
         # handling; the helper takes the caller's (the CLI raises on
         # overflow).
         self._thread = threading.Thread(
-            target=self._run, name="jkelab-noise",
+            target=self._run, name="jkelab-session",
             args=(rng, scales, dict(np.geterr(), call=np.geterrcall())))
 
-    def __enter__(self) -> "_NoiseDraws":
+    def __enter__(self) -> "_HelperThread":
         self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
+        # A caller that fails before sharing its statistics releases the
+        # helper with none.
+        self._shared.set()
         self._thread.join()
 
     def _run(self, rng, scales, errstate) -> None:
-        try:
-            with np.errstate(**errstate):
+        with np.errstate(**errstate):
+            try:
                 for noise, scale, ready in zip(self._arrays, scales,
                                                self._ready):
                     # rng.normal(0.0, scale, n) bit for bit, which forms
@@ -331,13 +341,14 @@ class _NoiseDraws:
                     np.add(noise, 0.0, out=noise)
                     self._drawn += 1
                     ready.set()
-                self._variances = [_variance(noise, out=self._spare)
-                                   for noise in self._arrays]
-        except BaseException as exc:  # re-raised on the caller's thread
-            self._error = exc
-        finally:
-            for ready in self._ready:
-                ready.set()
+            except BaseException as exc:  # re-raised on the caller's thread
+                self._error = exc
+                return
+            finally:
+                for ready in self._ready:
+                    ready.set()
+            self._shared.wait()
+            self._work(self._spare)
 
     def array(self, i: int) -> np.ndarray:
         """Noise array ``i``, once drawn."""
@@ -346,13 +357,34 @@ class _NoiseDraws:
             raise self._error
         return self._arrays[i]
 
-    def result(self) -> tuple:
-        """(Bob's noise variance, Eve's noise variance, the helper's
-        scratch buffer), once the helper has finished."""
+    def share(self, entries: list, scratch: np.ndarray) -> list:
+        """Each entry's result, in list order. Both threads take the next
+        entry that neither has taken yet and call it with their own
+        scratch buffer: the caller with ``scratch``, the helper with its
+        own. If entries fail, the exception of the first failing one in
+        list order is raised, as a serial run would raise it."""
+        self._entries = entries
+        self._results = [None] * len(entries)
+        self._errors = [None] * len(entries)
+        self._shared.set()
+        self._work(scratch)
         self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return (*self._variances, self._spare)
+        for error in self._errors:
+            if error is not None:
+                raise error
+        return self._results
+
+    def _work(self, scratch: np.ndarray) -> None:
+        while True:
+            with self._claim:
+                i = self._next
+                if i >= len(self._entries):
+                    return
+                self._next += 1
+            try:
+                self._results[i] = self._entries[i](scratch)
+            except BaseException as exc:
+                self._errors[i] = exc
 
 
 def true_jamming_stream(trace: SimTrace) -> JammingStream:
@@ -402,10 +434,15 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
         post_attack_snr = trace.stats["eve_post_attack_snr"]
         residual_var = trace.stats["eve_residual_var"]
     else:
-        cleaned = trace.eve_stored - jamming.symbols
-        post_attack_snr, residual_var = _post_attack(
-            trace.stats["signal_power_emp"], cleaned, trace.clean_signal,
-            trace.eve_noise, out=cleaned, spare=np.empty_like(cleaned))
+        # One scratch buffer: the stored record minus the stream is formed
+        # in it once for each statistic.
+        cleaned = np.subtract(trace.eve_stored, jamming.symbols)
+        post_attack_snr = _snr(trace.stats["signal_power_emp"],
+                               _error_variance(cleaned, trace.clean_signal,
+                                               out=cleaned))
+        np.subtract(trace.eve_stored, jamming.symbols, out=cleaned)
+        residual_var = _residual_variance(cleaned, trace.clean_signal,
+                                          trace.eve_noise, out=cleaned)
     return EveAttackReport(
         n_symbols=len(trace),
         residual_var=residual_var,

@@ -45,6 +45,22 @@ class TestUnpackSymbols:
             assert words.dtype == np.int64
             assert words.tolist() == expected, n
 
+    @pytest.mark.parametrize("w", range(1, 33))
+    def test_exact_length_read_only_stream(self, w):
+        # raw ends at the last symbol's byte, so a load that ran past it
+        # would fail or read foreign memory; a read-only buffer is enough
+        rng = np.random.default_rng(100 + w)
+        period = 8 // math.gcd(w, 8)
+        for n in sorted({1, 2, period - 1, period, period + 1, 2 * period + 1,
+                         997}):
+            raw = rng.bytes((n * w + 7) // 8)
+            assert memoryview(raw).readonly
+            stream = int.from_bytes(raw, "big")
+            total_bits = len(raw) * 8
+            expected = [(stream >> (total_bits - (i + 1) * w)) & ((1 << w) - 1)
+                        for i in range(n)]
+            assert unpack_symbols(raw, n, w).tolist() == expected, n
+
     def test_short_buffer_rejected(self):
         with pytest.raises(ValueError):
             unpack_symbols(b"\x00", 3, 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -279,6 +280,21 @@ class TestStorageAttack:
         eve_storage_attack(trace, true_jamming_stream(trace))
         assert len(calls) == 1
 
+    def test_foreign_stream_attack_peaks_at_one_buffer(self, headline_params):
+        # The stored record minus the stream is formed twice in one buffer,
+        # once for each statistic, instead of once beside a second buffer.
+        n = 200_000
+        trace = run_jke_session(headline_params, IDEAL,
+                                KeyMaterial.random(seed=4), n, rng_seed=9)
+        regenerated = jamming_stream(trace.jamming_seed, 14, n, trace.jam_scale)
+        tracemalloc.start()
+        try:
+            eve_storage_attack(trace, regenerated)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * n <= peak < 1.25 * 8 * n
+
     def test_stats_recomputable_from_sequences(self, headline_params):
         trace = run_jke_session(headline_params, IDEAL,
                                 KeyMaterial.random(seed=4), 5000, rng_seed=9)
@@ -345,11 +361,169 @@ class _ScriptedGenerator:
         return self._rng.standard_normal(*args, **kwargs)
 
 
+def _hook_statistics(monkeypatch, hook):
+    """Call ``hook(i, thread, out)`` before statistic ``i`` of each
+    session's shared list runs, on the thread that runs it: ``thread`` is
+    "caller" or "helper", and ``out`` is the scratch buffer it passes."""
+    share = session._HelperThread.share
+    caller = threading.get_ident()
+
+    def hooked(self, entries, scratch):
+        def entry(i):
+            def run(out):
+                hook(i, "caller" if threading.get_ident() == caller
+                     else "helper", out)
+                return entries[i](out)
+            return run
+        return share(self, [entry(i) for i in range(len(entries))], scratch)
+
+    monkeypatch.setattr(session._HelperThread, "share", hooked)
+
+
+def _hold(thread, ran: dict):
+    """A hook that records in ``ran`` which thread runs each statistic,
+    with which scratch buffer, and holds ``thread`` for
+    0.3 s in its first one, so that the other thread runs the rest."""
+    def hook(i, on, out):
+        ran[i] = on, out
+        if on == thread and [t for t, _ in ran.values()].count(on) == 1:
+            time.sleep(0.3)
+    return hook
+
+
+def _serial_statistics(trace) -> dict:
+    """The shared statistics by plain NumPy on full-length temporaries,
+    one after another, from the trace's own sequences."""
+    clean, key = trace.clean_signal, trace.key
+    power = float(np.mean(clean ** 2))
+
+    def snr(observed):
+        err_var = float(np.var(observed - clean))
+        return math.inf if err_var == 0.0 else power / err_var
+
+    idx = np.arange(len(trace)) % key.n_bits
+    votes = np.bincount(idx, weights=np.sign(trace.bob_post),
+                        minlength=key.n_bits)
+    covered = min(len(trace), key.n_bits)
+    bits = key.bit_array()[:covered]
+    residual = trace.cancel.residual_amplitude_factor * trace.jamming
+    return {
+        "bob_symbol_errors": int(np.sum(np.sign(trace.bob_post)
+                                        != np.sign(clean))),
+        "bob_key_bit_errors": int(np.sum((votes[:covered] > 0) != (bits == 1))),
+        "bob_key_bits_covered": covered,
+        "signal_power_emp": power,
+        "residual_jamming_power": float(np.var(residual)),
+        "bob_effective_snr": snr(trace.bob_post),
+        "eve_pre_attack_snr": snr(trace.eve_rx),
+        "bob_noise_var_emp": float(np.var(trace.bob_noise)),
+        "eve_noise_var_emp": float(np.var(trace.eve_noise)),
+        "eve_post_attack_snr": snr(trace.eve_post),
+        "eve_residual_var": float(np.var(trace.eve_post - clean
+                                         - trace.eve_noise)),
+        "jamming_power_emp": float(np.var(trace.jamming)),
+    }
+
+
 class TestHelperThread:
-    """The session draws its noise on one helper thread. No thread
-    outlives it, whether it returns or raises (``output.write_trace_csv``
+    """The session draws its noise on one helper thread, which then
+    shares the session's statistics with the caller. No thread outlives
+    a session, whether it returns or raises (``output.write_trace_csv``
     forks right after it), and every layer the benchmark traces runs on
     the caller's thread."""
+
+    # Held in its first statistic, one thread leaves the other to run
+    # all but at most that one. Each thread works in its own scratch
+    # buffer, and the statistics are the serial ones, bit for bit.
+    @pytest.mark.parametrize("held", ["helper", "caller"])
+    def test_shared_statistics_equal_the_serial_ones(self, headline_params,
+                                                     monkeypatch, held):
+        ran = {}
+        _hook_statistics(monkeypatch, _hold(held, ran))
+        point = dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
+        trace = run_jke_session(point, CancellationModel(60.0),
+                                KeyMaterial.random(seed=1), 300_007,
+                                rng_seed=3)
+        assert sorted(ran) == list(range(10))
+        threads = [on for on, _ in ran.values()]
+        other = "caller" if held == "helper" else "helper"
+        assert threads.count(held) <= 1
+        assert threads.count(other) >= 9
+        buffers = {}
+        for on, out in ran.values():
+            assert buffers.setdefault(on, out) is out
+        if len(buffers) == 2:
+            assert not np.shares_memory(buffers["caller"], buffers["helper"])
+        for name, want in _serial_statistics(trace).items():
+            got = trace.stats[name]
+            assert type(got) is type(want), name
+            assert repr(got) == repr(want), name
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), name
+
+    # Four sessions at once, eight threads on fewer CPUs, switching as
+    # often as the interpreter allows: a lost update of the claimed count
+    # would run a statistic twice, or never.
+    def test_each_statistic_runs_once_under_contention(self, headline_params,
+                                                       monkeypatch):
+        counts = []
+        share = session._HelperThread.share
+
+        def counted(self, entries, scratch):
+            ran = [0] * len(entries)
+            counts.append(ran)
+
+            def entry(i):
+                def run(out):
+                    ran[i] += 1
+                    return entries[i](out)
+                return run
+            return share(self, [entry(i) for i in range(len(entries))],
+                         scratch)
+
+        monkeypatch.setattr(session._HelperThread, "share", counted)
+        traces = {}
+
+        def run(seed):
+            traces[seed] = run_jke_session(
+                headline_params, CancellationModel(60.0),
+                KeyMaterial.random(seed=1), 20_000, rng_seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sessions = [threading.Thread(target=run, args=(seed,))
+                        for seed in range(4)]
+            for thread in sessions:
+                thread.start()
+            for thread in sessions:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in sessions)
+        assert counts == [[1] * 10] * 4
+        for trace in traces.values():
+            for name, want in _serial_statistics(trace).items():
+                assert repr(trace.stats[name]) == repr(want), name
+
+    # The earlier entry fails later in time, on whichever thread runs it.
+    def test_first_failing_statistic_in_list_order_is_raised(
+            self, headline_params, monkeypatch):
+        earlier, later = RuntimeError("statistic 1"), RuntimeError("statistic 6")
+
+        def hook(i, on, out):
+            if i == 1:
+                time.sleep(0.2)
+                raise earlier
+            if i == 6:
+                raise later
+
+        _hook_statistics(monkeypatch, hook)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            run_jke_session(headline_params, IDEAL, KeyMaterial.random(seed=1),
+                            5000, rng_seed=3)
+        assert raised.value is earlier
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_a_session(self, headline_params):
         before = threading.active_count()
@@ -415,15 +589,20 @@ class TestHelperThread:
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
     def test_helper_keeps_the_callers_floating_point_errors(
-            self, headline_params):
-        # Bob's noise variance overflows only in the helper's statistic:
-        # his receiver chain clips it. A new thread's NumPy state would
-        # warn and give inf; the caller's raises, as the CLI asks.
+            self, headline_params, monkeypatch):
+        # Bob's noise variance (statistic 5) alone overflows: his receiver
+        # chain clips the noise. With the caller held, the helper runs it;
+        # a new thread's NumPy state would warn and give inf.
+        ran = {}
+        _hook_statistics(monkeypatch, _hold("caller", ran))
         point = headline_params.with_bob_noise_var(1e308)
+        before = threading.active_count()
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
                                 5000, rng_seed=3)
+        assert ran[5][0] == "helper"
+        assert threading.active_count() == before
 
     def test_peak_memory_stays_at_eleven_buffers(self, headline_params):
         # Nine trace arrays, the caller's scratch buffer and the helper's
