@@ -154,8 +154,9 @@ REQUIRED = object()  # the default of a key that must be given
 
 # Size budgets, checked before anything of that size is allocated. A
 # sweep grid peaks near 0.7 KB per cell while its JSON is written, and a
-# session with its storage attack near 100 B per symbol: about 0.7 GB and
-# 1 GB at the budgets.
+# session with its storage attack at about 85 B per symbol (w = 20: 120 MB
+# at 10^6 symbols, 290 MB at 3*10^6): about 0.7 GB and 0.9 GB at the
+# budgets.
 MAX_SWEEP_CELLS = 10 ** 6
 MAX_SYMBOLS = 10 ** 7
 
@@ -258,7 +259,8 @@ KEM = {"mode": (_choice("toy-rsa", "passthrough"), "toy-rsa"),
        "bit_length": (_bounded(require_integer, kem.MIN_MODULUS_BITS,
                                kem.MAX_MODULUS_BITS), 64)}
 SIMULATE = {
-    "n_symbols": (_bounded(require_integer, 1), 100_000),
+    # One symbol has no sample variance, so no effective SNR.
+    "n_symbols": (_bounded(require_integer, 2), 100_000),
     "seed": (_bounded(require_integer, 0), 0),
     "cancellation_db": (_or("inf", _bounded(require_number, 0.0)), "inf"),
     "key_bits": (require_integer, None),  # None: the root's key_bits

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +165,23 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
             f"with {cancel.depth_db:g} dB depth "
             f"({cancel.residual_bits:.2f} bits < w + {WARN_MARGIN_BITS:g})")
 
-    with _HelperThread(rng, (math.sqrt(params.bob_noise_var),
-                             math.sqrt(params.eve_noise_var)),
-                       n_symbols) as helper:
+    # One helper thread draws Bob's and then Eve's noise, in submission
+    # order, and then takes part of the statistics (_share). It calls
+    # nothing else of the package, so every traced layer keeps running on
+    # the caller's thread. Leaving the ``with`` block joins it, so no
+    # thread outlives the session (output.write_trace_csv forks). Its
+    # buffers too are allocated on the caller's thread, like every
+    # full-length buffer: glibc gives each thread its own malloc arena,
+    # and one that the helper allocated would stay in the helper's arena
+    # once freed (peak RSS rose by about 20 MB at 3e6 symbols).
+    bob_noise, eve_noise, spare = (np.empty(n_symbols) for _ in range(3))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="jkelab-session",
+                            initializer=_use_errstate,
+                            initargs=(np.geterr(), np.geterrcall())) as pool:
+        bob_drawn = pool.submit(_normal, rng, math.sqrt(params.bob_noise_var),
+                                bob_noise)
+        eve_drawn = pool.submit(_normal, rng, math.sqrt(params.eve_noise_var),
+                                eve_noise)
         bit_amplitudes = _encode_key(key, p)
         clean = np.resize(bit_amplitudes, n_symbols)
         if w > 0:
@@ -177,8 +192,7 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         # clean + jam is formed once, for both receivers, in eve_rx's
         # buffer. Bob's chain runs while Eve's noise is still being drawn.
         eve_rx = clean + jam
-        bob_noise = helper.array(0)
-        bob_rx = eve_rx + bob_noise
+        bob_rx = eve_rx + bob_drawn.result()
 
         # Analog-domain cancellation happens before the ADC, so the
         # quantizer only spans the useful signal plus whatever residual
@@ -191,8 +205,7 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
                                                params.dynamic_range_factor)
         bob_post = adc.quantize(scratch, bob_q)
 
-        eve_noise = helper.array(1)
-        eve_rx += eve_noise
+        eve_rx += eve_drawn.result()
         eve_q = adc.QuantizerConfig.for_jammed_signal(
             p, params.eve_bits(), w, params.dynamic_range_factor)
         eve_stored = adc.quantize(eve_rx, eve_q)
@@ -203,7 +216,7 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         ((symbol_errors, bit_errors, bits_covered), signal_power_emp,
          residual_jamming_power, bob_error_var, eve_pre_error_var,
          bob_noise_var, eve_noise_var, eve_post_error_var, eve_residual_var,
-         jamming_power_emp) = helper.share([
+         jamming_power_emp) = _share(pool, [
              lambda out: _bob_errors(key, bit_amplitudes, bob_post, out),
              lambda out: float(np.mean(np.square(clean, out=out))),
              lambda out: _variance(np.multiply(
@@ -215,7 +228,7 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
              lambda out: _error_variance(eve_post, clean, out),
              lambda out: _residual_variance(eve_post, clean, eve_noise, out),
              lambda out: _variance(jam, out=out),
-         ], scratch)
+         ], scratch, spare)
     stats = {
         "n_symbols": int(n_symbols),
         "signal_power_emp": signal_power_emp,
@@ -284,107 +297,53 @@ def _snr(signal_power_emp: float, err_var: float) -> float:
     return signal_power_emp / err_var
 
 
-class _HelperThread:
-    """The session's one helper thread. It draws Bob's and then Eve's
-    channel noise from ``rng``, and then works through the session's
-    statistics beside the caller (:meth:`share`).
+def _use_errstate(err: dict, call) -> None:
+    """Give the helper thread the caller's NumPy floating-point error
+    handling (the CLI raises on overflow): a new thread starts with
+    NumPy's defaults."""
+    np.seterr(**err)
+    np.seterrcall(call)
 
-    The draws and the statistics release the GIL, so the draws overlap
-    the jamming and Bob's quantizer, and the two threads take the
-    statistics in parallel. The helper calls nothing else of the package,
-    so every traced layer keeps running on the caller's thread. Leaving
-    the ``with`` block joins the helper, so no thread outlives the session
-    (``output.write_trace_csv`` forks).
-    """
 
-    def __init__(self, rng: np.random.Generator, scales: tuple,
-                 n_symbols: int):
-        # Every full-length buffer is allocated here, on the caller's
-        # thread: glibc gives each thread its own malloc arena, and one
-        # that the helper allocated would stay in the helper's arena once
-        # freed (peak RSS rose by about 20 MB at 3e6 symbols).
-        self._arrays = [np.empty(n_symbols) for _ in scales]
-        self._spare = np.empty(n_symbols)
-        self._ready = [threading.Event() for _ in scales]
-        self._drawn = 0
-        self._error = None
-        self._shared = threading.Event()
-        self._claim = threading.Lock()
-        self._entries = self._results = self._errors = ()
-        self._next = 0
-        # A new thread starts with NumPy's default floating-point error
-        # handling; the helper takes the caller's (the CLI raises on
-        # overflow).
-        self._thread = threading.Thread(
-            target=self._run, name="jkelab-session",
-            args=(rng, scales, dict(np.geterr(), call=np.geterrcall())))
+def _normal(rng: np.random.Generator, scale: float,
+            out: np.ndarray) -> np.ndarray:
+    """``rng.normal(0.0, scale, len(out))`` bit for bit, which forms
+    0.0 + scale * z from the same stream of z, drawn into ``out``."""
+    rng.standard_normal(out=out)
+    np.multiply(out, scale, out=out)
+    return np.add(out, 0.0, out=out)
 
-    def __enter__(self) -> "_HelperThread":
-        self._thread.start()
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        # A caller that fails before sharing its statistics releases the
-        # helper with none.
-        self._shared.set()
-        self._thread.join()
+def _share(pool: ThreadPoolExecutor, entries: list, scratch: np.ndarray,
+           spare: np.ndarray) -> list:
+    """Each entry's result, in list order. The caller and ``pool``'s one
+    worker each take the next entry that neither has taken yet and call
+    it with their own scratch buffer: the caller with ``scratch``, the
+    worker with ``spare``. If entries fail, the exception of the first
+    failing one in list order is raised, as a serial run would raise it."""
+    results = [None] * len(entries)
+    errors = [None] * len(entries)
+    claims = iter(range(len(entries)))
+    claim = threading.Lock()
 
-    def _run(self, rng, scales, errstate) -> None:
-        with np.errstate(**errstate):
-            try:
-                for noise, scale, ready in zip(self._arrays, scales,
-                                               self._ready):
-                    # rng.normal(0.0, scale, n) bit for bit, which forms
-                    # 0.0 + scale * z from the same stream of z.
-                    rng.standard_normal(out=noise)
-                    np.multiply(noise, scale, out=noise)
-                    np.add(noise, 0.0, out=noise)
-                    self._drawn += 1
-                    ready.set()
-            except BaseException as exc:  # re-raised on the caller's thread
-                self._error = exc
-                return
-            finally:
-                for ready in self._ready:
-                    ready.set()
-            self._shared.wait()
-            self._work(self._spare)
-
-    def array(self, i: int) -> np.ndarray:
-        """Noise array ``i``, once drawn."""
-        self._ready[i].wait()
-        if self._drawn <= i:
-            raise self._error
-        return self._arrays[i]
-
-    def share(self, entries: list, scratch: np.ndarray) -> list:
-        """Each entry's result, in list order. Both threads take the next
-        entry that neither has taken yet and call it with their own
-        scratch buffer: the caller with ``scratch``, the helper with its
-        own. If entries fail, the exception of the first failing one in
-        list order is raised, as a serial run would raise it."""
-        self._entries = entries
-        self._results = [None] * len(entries)
-        self._errors = [None] * len(entries)
-        self._shared.set()
-        self._work(scratch)
-        self._thread.join()
-        for error in self._errors:
-            if error is not None:
-                raise error
-        return self._results
-
-    def _work(self, scratch: np.ndarray) -> None:
+    def work(out: np.ndarray) -> None:
         while True:
-            with self._claim:
-                i = self._next
-                if i >= len(self._entries):
-                    return
-                self._next += 1
+            with claim:
+                i = next(claims, None)
+            if i is None:
+                return
             try:
-                self._results[i] = self._entries[i](scratch)
+                results[i] = entries[i](out)
             except BaseException as exc:
-                self._errors[i] = exc
+                errors[i] = exc
+
+    helper = pool.submit(work, spare)
+    work(scratch)
+    helper.result()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def true_jamming_stream(trace: SimTrace) -> JammingStream:

@@ -343,7 +343,8 @@ class TestSimulate:
         assert read_json(out / "stats.json")["session"]["bob_key_bits_covered"] == 128
 
     @pytest.mark.parametrize("block, argv, message", [
-        ({"n_symbols": 0}, [], "simulate.n_symbols must be at least 1, got 0"),
+        ({"n_symbols": 0}, [], "simulate.n_symbols must be at least 2, got 0"),
+        ({"n_symbols": 1}, [], "simulate.n_symbols must be at least 2, got 1"),
         ({"seed": -1}, [], "simulate.seed must be at least 0, got -1"),
         ({}, ["--seed", "-1"], "simulate.seed must be at least 0, got -1"),
         ({"jam_scale": 0.0}, [], "simulate.jam_scale must be positive, got 0.0"),
@@ -356,9 +357,10 @@ class TestSimulate:
          "key_bits must be in [128, 10000000] for simulate, got 64"),
         ({"key_bits": 1e200}, [],
          f"key_bits must be in [128, 10000000] for simulate, got {int(1e200)}"),
-    ], ids=["n-symbols-0", "seed-negative", "seed-flag-negative",
-            "jam-scale-0", "jam-scale-negative", "kem-bits-8",
-            "cancellation-negative", "key-bits-64", "key-bits-1e200"])
+    ], ids=["n-symbols-0", "n-symbols-1", "seed-negative",
+            "seed-flag-negative", "jam-scale-0", "jam-scale-negative",
+            "kem-bits-8", "cancellation-negative", "key-bits-64",
+            "key-bits-1e200"])
     def test_bad_value_named_before_any_output(self, tmp_path, capsys, block,
                                                argv, message):
         path = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
@@ -667,7 +669,7 @@ class TestConfigNumbers:
         ("sweep", "system", OVERFLOW_SYSTEM,
          "secrecy rate at bandwidth 1e+308 Hz with log terms"),
         ("simulate", "simulate.n_symbols", 0,
-         "simulate.n_symbols must be at least 1, got 0"),
+         "simulate.n_symbols must be at least 2, got 0"),
         ("simulate", "simulate.seed", -1, "simulate.seed must be at least 0"),
         ("simulate", "simulate.jam_scale", 0.0,
          "simulate.jam_scale must be positive, got 0.0"),

@@ -365,19 +365,20 @@ def _hook_statistics(monkeypatch, hook):
     """Call ``hook(i, thread, out)`` before statistic ``i`` of each
     session's shared list runs, on the thread that runs it: ``thread`` is
     "caller" or "helper", and ``out`` is the scratch buffer it passes."""
-    share = session._HelperThread.share
+    share = session._share
     caller = threading.get_ident()
 
-    def hooked(self, entries, scratch):
+    def hooked(pool, entries, scratch, spare):
         def entry(i):
             def run(out):
                 hook(i, "caller" if threading.get_ident() == caller
                      else "helper", out)
                 return entries[i](out)
             return run
-        return share(self, [entry(i) for i in range(len(entries))], scratch)
+        return share(pool, [entry(i) for i in range(len(entries))], scratch,
+                     spare)
 
-    monkeypatch.setattr(session._HelperThread, "share", hooked)
+    monkeypatch.setattr(session, "_share", hooked)
 
 
 def _hold(thread, ran: dict):
@@ -466,9 +467,9 @@ class TestHelperThread:
     def test_each_statistic_runs_once_under_contention(self, headline_params,
                                                        monkeypatch):
         counts = []
-        share = session._HelperThread.share
+        share = session._share
 
-        def counted(self, entries, scratch):
+        def counted(pool, entries, scratch, spare):
             ran = [0] * len(entries)
             counts.append(ran)
 
@@ -477,10 +478,10 @@ class TestHelperThread:
                     ran[i] += 1
                     return entries[i](out)
                 return run
-            return share(self, [entry(i) for i in range(len(entries))],
-                         scratch)
+            return share(pool, [entry(i) for i in range(len(entries))],
+                         scratch, spare)
 
-        monkeypatch.setattr(session._HelperThread, "share", counted)
+        monkeypatch.setattr(session, "_share", counted)
         traces = {}
 
         def run(seed):
