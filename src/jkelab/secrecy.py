@@ -8,19 +8,23 @@ drivers that map those quantities over parameter grids.
 The two log terms are deliberately asymmetric: the legitimate receiver's
 quantization noise enters as step^2/12 on both sides of its ratio, while
 the eavesdropper's noise floor uses step^2/(2*pi*e); the bound is
-implemented exactly as stated, not "corrected".
+implemented exactly as stated, not "corrected". Both terms are log1p(x)/ln 2,
+with the eavesdropper's x = K - 1 formed directly, not as a rounded K minus 1.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 from . import adc
 from .params import SnrPoint, SystemParams, ValidationError, snr_to_noise_var
+
+_LN2 = math.log(2.0)
 
 
 class NoPositiveSecrecyError(ValueError):
@@ -68,13 +72,15 @@ class JkeTiming:
         return dict(vars(self))
 
 
-def _eve_ratio(p: float, eve_noise_var: float, delta_e: float) -> float:
-    """The eavesdropper's ratio K; log2(K) is its term of the bound."""
-    eve_floor = eve_noise_var + delta_e ** 2 / adc.TWO_PI_E
+def _eve_excess(p: float, eve_noise_var: float, delta_e: float) -> tuple:
+    """(numerator, floor) of Eve's K - 1: the numerator, formed directly,
+    is P + step^2/12 - step^2/(2*pi*e) > 0, as 1/12 > 1/(2*pi*e)."""
+    quant = delta_e ** 2 / adc.TWO_PI_E
+    eve_floor = eve_noise_var + quant
     if eve_floor == 0:
         raise ValidationError(
             "eve noise variance and quantization step cannot both be zero")
-    return (p + eve_noise_var + delta_e ** 2 / 12.0) / eve_floor
+    return p + (delta_e ** 2 / 12.0 - quant), eve_floor
 
 
 def _resolutions(params: SystemParams) -> tuple:
@@ -99,8 +105,9 @@ def secrecy_rate(params: SystemParams) -> SecrecyReport:
     if bob_floor == 0:
         raise ValidationError(
             "bob noise variance and quantization step cannot both be zero")
-    bob_term = math.log2((p + bob_floor) / bob_floor)
-    eve_term = math.log2(_eve_ratio(p, params.eve_noise_var, delta_e))
+    bob_term = math.log1p(p / bob_floor) / _LN2
+    numerator, eve_floor = _eve_excess(p, params.eve_noise_var, delta_e)
+    eve_term = math.log1p(numerator / eve_floor) / _LN2
     rate = _finite_rate(params.bandwidth_hz, bob_term, eve_term)
     return SecrecyReport(params.bandwidth_hz, rate, bob_term, eve_term,
                          delta_b, delta_e)
@@ -142,20 +149,15 @@ def jke_duration(report: SecrecyReport, key_bits: int, efficiency: float) -> Jke
 
 class ThresholdKind(str, Enum):
     THRESHOLD = "threshold"
-    ALWAYS_POSITIVE = "always_positive"
     INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True, slots=True)
 class SnrThreshold:
-    """Minimum legitimate-channel SNR with positive secrecy.
-
-    ``ALWAYS_POSITIVE``: the secrecy rate is positive at any legitimate
-    SNR, because the eavesdropper's ratio K rounds to 1.0 (at the fig3a
-    operating point, below an eavesdropper SNR of about -159.8 dB).
-    ``INFEASIBLE``: the legitimate receiver's own quantizer is already too
-    coarse, no channel SNR helps.
-    """
+    """Minimum legitimate-channel SNR with positive secrecy, ``snr_db``. Eve's
+    K - 1 is formed directly and is positive, so the kind is ``THRESHOLD``
+    unless it is ``INFEASIBLE``: the legitimate receiver's own quantizer is
+    already too coarse, no channel SNR helps, and ``snr_db`` is None."""
 
     kind: ThresholdKind
     snr_db: float | None = None
@@ -169,30 +171,28 @@ def min_bob_snr_for_positive_rs(params: SystemParams) -> SnrThreshold:
     the secrecy rate is positive; ``params.bob_noise_var`` is ignored.
 
     With K the eavesdropper's signal-to-floor ratio, positive secrecy
-    needs the legitimate total noise below P/(K-1); subtracting the fixed
-    quantization share gives the admissible channel noise.
+    needs the legitimate total noise below P/(K-1), less the fixed
+    quantization share; a threshold that is not a finite float is rejected.
     """
     return _threshold(params.signal_power, *_resolutions(params),
                       params.eve_noise_var)
 
 
-# A threshold without a value is one of these two; SnrThreshold is frozen,
-# so every cell of that kind shares one instance.
-_ALWAYS_POSITIVE = SnrThreshold(ThresholdKind.ALWAYS_POSITIVE)
 _INFEASIBLE = SnrThreshold(ThresholdKind.INFEASIBLE)
 
 
 def _threshold(p: float, delta_b: float, delta_e: float,
                eve_noise_var: float) -> SnrThreshold:
-    big_k = _eve_ratio(p, eve_noise_var, delta_e)
-    if big_k <= 1:
-        return _ALWAYS_POSITIVE
-    noise_budget = p / (big_k - 1.0)
-    quant_share = delta_b ** 2 / 12.0
-    if quant_share >= noise_budget:
+    numerator, eve_floor = _eve_excess(p, eve_noise_var, delta_e)
+    channel_noise = eve_floor * (p / numerator) - delta_b ** 2 / 12.0
+    if channel_noise <= 0:
         return _INFEASIBLE
-    return SnrThreshold(ThresholdKind.THRESHOLD,
-                        10.0 * math.log10(p / (noise_budget - quant_share)))
+    snr = p / channel_noise
+    if not sys.float_info.min <= snr < math.inf:  # 0, subnormal or inf
+        raise ValidationError(
+            f"minimum bob SNR at eve noise variance {eve_noise_var!r} is out "
+            "of range: its linear value is not a positive normal float")
+    return SnrThreshold(ThresholdKind.THRESHOLD, 10.0 * math.log10(snr))
 
 
 def _check_axis(name: str, values, integer: bool = False) -> tuple:
@@ -302,8 +302,7 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
     rates = tuple(
         tuple([b.bandwidth_hz * (bob_term - eve_term) for eve_term in eve_terms])
         for b, bob_term in zip(bob_reports, bob_terms))
-    delta_b = bob_reports[0].delta_b
-    crossings = tuple(_threshold(p, delta_b, eve.delta_e, noise(se))
+    crossings = tuple(_threshold(p, bob_reports[0].delta_b, eve.delta_e, noise(se))
                       for se, eve in zip(eve_axis, eve_reports))
     return RateSweepGrid(bob_axis, eve_axis,
                          RateCells(tuple(bob_reports), tuple(eve_reports), rates),

@@ -668,6 +668,8 @@ class TestConfigNumbers:
          "simulated sample powers at signal power 1e+300 are out of range"),
         ("sweep", "system", OVERFLOW_SYSTEM,
          "secrecy rate at bandwidth 1e+308 Hz with log terms"),
+        ("sweep", "sweep.eve_snr_db", {"values": [-3080.0]},
+         "minimum bob SNR at eve noise variance 1e+308 is out of range"),
         ("simulate", "simulate.n_symbols", 0,
          "simulate.n_symbols must be at least 2, got 0"),
         ("simulate", "simulate.seed", -1, "simulate.seed must be at least 0"),
@@ -696,7 +698,7 @@ class TestConfigNumbers:
             "attacker-preset-and-t-qc", "attacker-preset-and-note",
             "attacker-custom-and-cores", "attacker-fixed-time-cores",
             "analyze-rate-overflow", "simulate-power-overflow",
-            "sweep-rate-overflow", "n-symbols-0", "seed-negative",
+            "sweep-rate-overflow", "sweep-threshold-underflow", "n-symbols-0", "seed-negative",
             "jam-scale-0"])
     def test_named_validation_error(self, tmp_path, capsys, command, path,
                                     value, message):

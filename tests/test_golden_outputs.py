@@ -4,13 +4,15 @@ grid writers.
 Runs ``analyze``, ``sweep`` and ``race`` on the shipped configs and
 compares the sha256 of every output file, and of stdout with the output
 directory masked, with digests recorded before the sweeps were rewritten
-to evaluate each log term once per axis point. A mismatch names the file.
+to evaluate each log term once per axis point. The sweeps' grid and
+crossing files were re-recorded when both log terms moved to log1p, with
+the eavesdropper's K - 1 formed directly. A mismatch names the file.
 
-The floats come from ``math`` (libm's log2, log10 and pow) and ``repr``, so
-the digests hold for the platform they were recorded on: glibc 2.36 on
-x86-64 with FMA, Python 3.11. ``simulate`` is left out: its statistics
-pass through NumPy reductions, which other NumPy versions may round
-differently.
+The floats come from ``math`` (libm's log1p, log2, log10 and pow) and
+``repr``, so the digests hold for the platform they were recorded on:
+glibc 2.36 on x86-64 with FMA, Python 3.11. ``simulate`` is left out: its
+statistics pass through NumPy reductions, which other NumPy versions may
+round differently.
 
 A rate grid's cells are ``RateCells`` factors, and its writers format
 each row's and each column's values once from them; the plain forms they
@@ -55,11 +57,11 @@ RECORDED = {
         "config.json":
             "68a76c1ebed1ff5fe2d340b3b234ef7ef0dc57713f7d97b5b243bfd402820a7b",
         "grid.csv":
-            "410a97b6e035a042ca902601bc95922ee436a56fa060bc0f652cea6255c51689",
+            "a4442774a3f2804165f55633e5722205b22c0e308c46d3eaba64bedbd35b2014",
         "sweep.json":
             "1d72d13c55c10a5cdc346bbd17843178bef4e5e5ddf18c2e23836d16be348534",
         "zero_crossing.csv":
-            "0551978045d5abf06e795447843074dd33dd5ee098714fcaab99760949cab741",
+            "6bda924ace9d36979b420763955437689f13d739dd3c34062efea87060facf63",
     },
     ("sweep", "fig3a", "json"): {
         "stdout":
@@ -67,7 +69,7 @@ RECORDED = {
         "config.json":
             "68a76c1ebed1ff5fe2d340b3b234ef7ef0dc57713f7d97b5b243bfd402820a7b",
         "grid.json":
-            "6288bb2af4bc967af800d772f5a39a41c4cdb1e31fd2050f129b5c7da146a9f1",
+            "1422ff8ec47978845648f8de8755e976fe7aa33b3e30cca80c73cebbd3ce0a69",
         "sweep.json":
             "1d72d13c55c10a5cdc346bbd17843178bef4e5e5ddf18c2e23836d16be348534",
     },
@@ -77,7 +79,7 @@ RECORDED = {
         "config.json":
             "d31525a3eaacf725acf893353059766ed4f85e8eb963e10c37c7d98e1bf810e7",
         "grid.csv":
-            "ff9172c3f9f4ba2f7ab5cb981ec428515adf3ac9d69a317a36af4bd0ae796d0f",
+            "30b043b555bcfae66c7d9af75eff26abc3380d9d3f8bad5a3671818be8954c8b",
         "sweep.json":
             "70ed3523ca7451be58d8d3ad5732951c18ab8963a6b340ae84373b7bc51e7f72",
     },
@@ -87,7 +89,7 @@ RECORDED = {
         "config.json":
             "d31525a3eaacf725acf893353059766ed4f85e8eb963e10c37c7d98e1bf810e7",
         "grid.json":
-            "a60edb4bfbbf32d004be68f3a3e3bd1866d47ffd6eda7bb4070f96098dd6fb47",
+            "4cf99ad248a4edb127a2069fbf241b24453a6721bd2011c3d833a19da1a52b9c",
         "sweep.json":
             "70ed3523ca7451be58d8d3ad5732951c18ab8963a6b340ae84373b7bc51e7f72",
     },
@@ -185,7 +187,8 @@ SPECIAL = (0.0, -0.0, 5e-324, 1e16, 1e+16 + 2.0, -1.5e-7, 123.456,
 # Thresholds of every kind, and with SNRs that are easy to misspell; a
 # threshold grid's cells and a rate grid's zero crossings come from these.
 THRESHOLDS = tuple(SnrThreshold(*kind) for kind in (
-    (ThresholdKind.THRESHOLD, 12.5), (ThresholdKind.ALWAYS_POSITIVE, None),
+    (ThresholdKind.THRESHOLD, 12.5),
+    (ThresholdKind.THRESHOLD, -199.99829429948338),
     (ThresholdKind.INFEASIBLE, None), (ThresholdKind.THRESHOLD, float("inf")),
     (ThresholdKind.THRESHOLD, -0.0), (ThresholdKind.THRESHOLD, float("nan")),
     (ThresholdKind.THRESHOLD, 5e-324), (ThresholdKind.THRESHOLD, 1e16),
@@ -268,8 +271,8 @@ def test_grid_writers_match_their_oracles(tmp_path, name):
 
 
 def test_contract_grids_hold_every_threshold_kind():
-    # A fig3b sweep's noiseless Eve never meets ALWAYS_POSITIVE; the
-    # hand-built grids do.
+    # The generated fig3b grid holds both kinds, and so do the hand-built
+    # grids.
     def kinds(grid):
         return {cell.kind for row in grid.cells for cell in row}
     assert kinds(_generated_threshold_grid()) == {ThresholdKind.THRESHOLD,

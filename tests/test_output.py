@@ -203,17 +203,19 @@ def test_trace_csv_child_exit_status_is_checked(base_trace, monkeypatch,
 
 @pytest.fixture(scope="module")
 def rate_grid():
-    # The -200 dB column is positive at any Bob SNR (ALWAYS_POSITIVE); the
-    # -30 dB column's crossing lies below the bob axis, the 10 dB column's
-    # on it, and the 40 dB and 80 dB columns' above it.
+    # The -200 dB column's crossing lies near -200 dB and the -30 dB
+    # column's also below the bob axis, the 10 dB column's on it, and the
+    # 40 dB and 80 dB columns' above it.
     grid = sweep_rate_vs_snr(SystemParams(**HEADLINE_POINT),
                              [-10.0, -2.5, 0.0, 7.0, 20.0],
                              [-200.0, -30.0, 10.0, 40.0, 80.0])
     positives = {cell.positive for row in grid.cells for cell in row}
     assert positives == {True, False}
     crossings = grid.zero_crossing_bob_snr_db
-    assert crossings[0].kind == ThresholdKind.ALWAYS_POSITIVE
-    assert crossings[1].snr_db < -10.0 < crossings[2].snr_db < 20.0
+    assert {c.kind for c in crossings} == {ThresholdKind.THRESHOLD}
+    assert crossings[0].snr_db == pytest.approx(-199.99829429948338, abs=1e-12)
+    assert crossings[0].snr_db < crossings[1].snr_db < -10.0
+    assert -10.0 < crossings[2].snr_db < 20.0
     assert 20.0 < crossings[3].snr_db < crossings[4].snr_db
     return grid
 
@@ -250,11 +252,11 @@ def test_threshold_grid_csv_matches_reference_on_sweep(tmp_path):
 
 
 def test_threshold_grid_csv_matches_reference_all_kinds(tmp_path):
-    # A fig3b sweep's noiseless Eve never gives ALWAYS_POSITIVE, so the grid
-    # is built by hand.
+    # Built by hand: SNRs whose spelling is easy to get wrong beside
+    # infeasible cells.
     grid = ThresholdSweepGrid(
         (0, 7, 40), (1e-15, 2.5e-13),
-        ((SnrThreshold(ThresholdKind.ALWAYS_POSITIVE),
+        ((SnrThreshold(ThresholdKind.THRESHOLD, -199.99829429948338),
           SnrThreshold(ThresholdKind.INFEASIBLE)),
          (SnrThreshold(ThresholdKind.THRESHOLD, -0.0),
           SnrThreshold(ThresholdKind.THRESHOLD, 1e+16)),

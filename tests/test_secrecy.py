@@ -283,9 +283,15 @@ class TestRateSweep:
         """Check each column's crossing against an independent scan for the
         column's first positive cell; the (kind, first index) pairs seen."""
         bob_axis = [float(v) for v in range(-5, 26)]
-        # Eve at -200 dB makes her ratio round to 1 (ALWAYS_POSITIVE).
+        # Eve at -200 dB puts the crossing far below the axis, at the Bob
+        # SNR where the rate's sign changes, near -200 dB.
         eve_axis = [-200.0] + [float(v) for v in range(-20, 81, 5)]
         grid = sweep_rate_vs_snr(params, bob_axis, eve_axis)
+        lowest = grid.zero_crossing_bob_snr_db[0]
+        assert lowest.kind == ThresholdKind.THRESHOLD
+        oracle = bisect_threshold_db(params.with_eve_noise_var(
+            params.signal_power * 1e20), lo_db=-250.0, hi_db=-150.0)
+        assert abs(lowest.snr_db - oracle) < 0.01
         first_positive = []
         seen = set()
         for j in range(len(eve_axis)):
@@ -295,9 +301,7 @@ class TestRateSweep:
             first_positive.append(idx)
             crossing = grid.zero_crossing_bob_snr_db[j]
             seen.add((crossing.kind, idx))
-            if crossing.kind == ThresholdKind.ALWAYS_POSITIVE:
-                assert idx == 0
-            elif crossing.kind == ThresholdKind.INFEASIBLE:
+            if crossing.kind == ThresholdKind.INFEASIBLE:
                 assert idx is None
             elif idx is None:
                 assert crossing.snr_db > bob_axis[-1]
@@ -312,7 +316,7 @@ class TestRateSweep:
 
     def test_zero_crossing_contour_from_independent_sign_scan(self, headline_params):
         seen = self.scanned_crossing_kinds(headline_params)
-        assert {(ThresholdKind.ALWAYS_POSITIVE, 0), (ThresholdKind.THRESHOLD, 0),
+        assert {(ThresholdKind.THRESHOLD, 0),
                 (ThresholdKind.THRESHOLD, None)} <= seen
         assert any(kind == ThresholdKind.THRESHOLD and idx for kind, idx in seen)
 

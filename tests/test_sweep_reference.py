@@ -102,21 +102,20 @@ def test_fig3a_crossing_does_not_depend_on_the_bob_step():
 
 
 def test_fig3a_crossings_of_every_kind():
-    # At an Eve SNR of -200 dB her ratio K rounds to 1.0, so the rate is
-    # positive at any Bob SNR; with a 2-bit Bob ADC no Bob SNR helps.
+    # At an Eve SNR of -200 dB her K - 1 is tiny but positive, so the
+    # crossing lies near -200 dB; with a 2-bit Bob ADC no Bob SNR helps.
     template, _ = shipped("fig3a")
     eve_axis = [-200.0, -10.0, 0.0, 40.0, 80.0]
     grid = check_rate_sweep(template, linear(10.0, 20.0, 5.0), eve_axis)
     kinds = [c.kind for c in grid.zero_crossing_bob_snr_db]
-    assert kinds == [ThresholdKind.ALWAYS_POSITIVE] + [ThresholdKind.THRESHOLD] * 4
-    snrs = [c.snr_db for c in grid.zero_crossing_bob_snr_db[1:]]
-    assert snrs[0] < snrs[1] < 10.0 < 20.0 < snrs[2] < snrs[3]
+    assert kinds == [ThresholdKind.THRESHOLD] * 5
+    snrs = [c.snr_db for c in grid.zero_crossing_bob_snr_db]
+    assert snrs[0] == pytest.approx(-199.99829429948338, abs=1e-12)
+    assert snrs[0] < snrs[1] < snrs[2] < 10.0 < 20.0 < snrs[3] < snrs[4]
     coarse_bob = replace(template, bob_adc=AdcSpec(500e-15, explicit_bits=2))
     grid = check_rate_sweep(coarse_bob, linear(0.0, 60.0, 10.0), eve_axis)
     kinds = [c.kind for c in grid.zero_crossing_bob_snr_db]
-    assert kinds == ([ThresholdKind.ALWAYS_POSITIVE]
-                     + [ThresholdKind.THRESHOLD] * 2
-                     + [ThresholdKind.INFEASIBLE] * 2)
+    assert kinds == [ThresholdKind.THRESHOLD] * 3 + [ThresholdKind.INFEASIBLE] * 2
 
 
 def test_shipped_fig3b_axes():
