@@ -31,26 +31,48 @@ def enob_from_jitter(bandwidth_hz: float, aperture_jitter_s: float) -> float:
              + 1.76) / 6.02
 
 
-def bob_resolution(signal_power: float, bits: float,
-                   dynamic_range_factor: float) -> float:
-    """Quantization step of the legitimate receiver: the dynamic range
-    2*l*sqrt(P) split into 2^bits levels. A step that is not a positive
-    finite float, or whose square (the secrecy bound's step^2 terms) is
-    not, is rejected rather than rounded to 0 or inf."""
+def _dynamic_range(signal_power: float, dynamic_range_factor: float) -> float:
+    """The range 2*l*sqrt(P) that a quantizer splits into 2^bits levels."""
     if not signal_power > 0:
         raise ValueError("signal power must be positive")
     if not dynamic_range_factor > 0:
         raise ValueError("dynamic range factor must be positive")
+    return 2.0 * dynamic_range_factor * math.sqrt(signal_power)
+
+
+def _valid_step(step: float) -> bool:
+    """Whether ``step`` and its square (the secrecy bound's step^2 terms)
+    are positive finite floats."""
+    return 0 < step < math.inf and 0 < step * step < math.inf
+
+
+def _checked_step(dynamic_range: float, bits: float,
+                  dynamic_range_factor: float) -> float:
+    """``dynamic_range`` split into 2^bits levels; a step that fails
+    :func:`_valid_step` is rejected rather than rounded to 0 or inf."""
     try:
-        step = 2.0 * dynamic_range_factor * math.sqrt(signal_power) / 2.0 ** bits
+        step = dynamic_range / 2.0 ** bits
     except (OverflowError, ZeroDivisionError):  # 2^bits beyond the float range
         step = math.nan
-    if not (0 < step < math.inf and 0 < step * step < math.inf):
+    if not _valid_step(step):
         raise ValueError(
             f"quantizer step at {bits!r} bits and dynamic range factor "
             f"{dynamic_range_factor!r} is out of range: it or its square is "
             "not a positive finite float")
     return step
+
+
+def bob_resolution(signal_power: float, bits: float,
+                   dynamic_range_factor: float) -> float:
+    """Quantization step of the legitimate receiver: the dynamic range
+    2*l*sqrt(P) split into 2^bits levels, checked by :func:`_checked_step`."""
+    return _checked_step(_dynamic_range(signal_power, dynamic_range_factor),
+                         bits, dynamic_range_factor)
+
+
+def _check_jamming_bits(jamming_bits_per_symbol: int) -> None:
+    if not jamming_bits_per_symbol >= 0:
+        raise ValueError("jamming bits per symbol must be non-negative")
 
 
 def eve_resolution(signal_power: float, bits: float,
@@ -62,10 +84,42 @@ def eve_resolution(signal_power: float, bits: float,
     ``bits - w <= 0`` is legal and yields a step at least as wide as the
     whole signal range -- devastating for the eavesdropper.
     """
-    if not jamming_bits_per_symbol >= 0:
-        raise ValueError("jamming bits per symbol must be non-negative")
+    _check_jamming_bits(jamming_bits_per_symbol)
     return bob_resolution(signal_power, bits - jamming_bits_per_symbol,
                           dynamic_range_factor)
+
+
+def _all_valid(rows: list) -> bool:
+    """Whether every step in ``rows`` passes :func:`_valid_step`: a NaN
+    step makes their sum NaN, and the check holds on every step between
+    the smallest and the largest when it holds on both."""
+    return not any(rows) or (not math.isnan(sum(map(sum, rows)))
+                             and _valid_step(min(map(min, rows)))
+                             and _valid_step(max(map(max, rows))))
+
+
+def eve_resolutions(signal_power: float, bits, jamming_bits,
+                    dynamic_range_factor: float) -> list:
+    """:func:`eve_resolution` over a grid: a list per w of the sequence
+    ``jamming_bits``, holding the step at each of the sequence ``bits``.
+
+    The dynamic range is taken once and the steps are checked together. A
+    grid that fails raises for its first failing step, row by row, as a
+    loop over :func:`eve_resolution` would.
+    """
+    for w in jamming_bits:
+        _check_jamming_bits(w)
+    dynamic_range = _dynamic_range(signal_power, dynamic_range_factor)
+    try:
+        rows = [[dynamic_range / 2.0 ** (b - w) for b in bits]
+                for w in jamming_bits]
+    except (OverflowError, ZeroDivisionError):  # 2^(b - w) beyond the float range
+        rows = None
+    if rows is None or not _all_valid(rows):
+        for w in jamming_bits:
+            for b in bits:
+                _checked_step(dynamic_range, b - w, dynamic_range_factor)
+    return rows
 
 
 @dataclass(frozen=True)

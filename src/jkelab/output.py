@@ -16,6 +16,9 @@ and per column plus the rates, so the values a cell takes from its row
 (bandwidth, Bob's term, delta_b) or its column (Eve's term, delta_e) are
 formatted once per row or column. Per cell, in the JSON as in the CSV, only
 the rate is formatted, and ``positive`` is ``secrecy.positive_rate(rate)``.
+A threshold grid's cells are ``ThresholdCells``, the SNRs with None where
+a cell is infeasible: each threshold cell is one ``repr`` of its SNR, and
+an infeasible cell is a constant string.
 """
 
 from __future__ import annotations
@@ -52,16 +55,15 @@ def write_json(path, payload) -> Path:
     return path
 
 
-def _write_csv(path, header, template: str, rows) -> Path:
-    """Write ``header`` and then each row tuple of ``rows`` through the
-    ``%`` line ``template`` (which ends in CRLF), ``_BATCH_ROWS`` at a time."""
+def _write_csv(path, header, lines) -> Path:
+    """Write ``header`` and then ``lines``, each ending in CRLF,
+    ``_BATCH_ROWS`` at a time."""
     path = Path(path)
-    rows = iter(rows)
+    lines = iter(lines)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        # Every line is non-empty, so an empty batch means the rows ran out.
-        while batch := "".join([template % row
-                                for row in islice(rows, _BATCH_ROWS)]):
+        # Every line is non-empty, so an empty batch means the lines ran out.
+        while batch := "".join(islice(lines, _BATCH_ROWS)):
             fh.write(batch)
     return path
 
@@ -75,54 +77,65 @@ def write_record_csv(record: dict, path) -> Path:
     keys = sorted(record)
     cells = ["true" if v is True else "false" if v is False else _blank_none(v)
              for v in map(record.get, keys)]
-    return _write_csv(path, keys, "%s\r\n", [(",".join(cells),)])
+    return _write_csv(path, keys, [",".join(cells) + "\r\n"])
 
 
-def _rate_csv_rows(grid: RateSweepGrid):
-    """Each cell's CSV row: the row's and the column's values formatted once,
-    the rate per cell."""
+def _rate_csv_lines(grid: RateSweepGrid):
+    """Each cell's CSV line: a column's values are formatted once, and a
+    row's once into that row's line template, which takes the rate."""
     cells = grid.cells
     columns = [(repr(se), repr(eve.eve_term_bits), repr(eve.delta_e))
                for se, eve in zip(grid.eve_snr_db, cells.eve_reports)]
     for bob_snr, bob, rates in zip(grid.bob_snr_db, cells.bob_reports,
                                    cells.rates):
-        sb, bob_term, delta_b = (repr(bob_snr), repr(bob.bob_term_bits),
-                                 repr(bob.delta_b))
+        template = "%s,%%s,%%r,%s,%%s,%s,%%s,%%s\r\n" % (
+            repr(bob_snr), repr(bob.bob_term_bits), repr(bob.delta_b))
         for (se, eve_term, delta_e), rate in zip(columns, rates):
-            yield (sb, se, rate, bob_term, eve_term, delta_b, delta_e,
-                   "true" if positive_rate(rate) else "false")
+            yield template % (se, rate, eve_term, delta_e,
+                              "true" if positive_rate(rate) else "false")
 
 
 def write_rate_grid_csv(grid: RateSweepGrid, path) -> Path:
     """One row per cell, legitimate-SNR index outer."""
     return _write_csv(path, ("bob_snr_db", "eve_snr_db", "rate_bits_per_s",
                              "bob_term_bits", "eve_term_bits", "delta_b",
-                             "delta_e", "positive"),
-                      "%s,%s,%r,%s,%s,%s,%s,%s\r\n", _rate_csv_rows(grid))
-
-
-# Read once per cell: a dict lookup, not the Enum's ``value`` descriptor.
-_KIND_TEXT = {kind: kind.value for kind in ThresholdKind}
+                             "delta_e", "positive"), _rate_csv_lines(grid))
 
 
 def write_rate_contour_csv(grid: RateSweepGrid, path) -> Path:
     """The zero-rate crossing per eavesdropper-SNR column, as its threshold
     kind and SNR (an empty cell for a kind without one)."""
-    rows = ((se, _KIND_TEXT[crossing.kind], _blank_none(crossing.snr_db))
-            for se, crossing
-            in zip(grid.eve_snr_db, grid.zero_crossing_bob_snr_db))
-    return _write_csv(path, ("eve_snr_db", "kind", "min_bob_snr_db"),
-                      "%r,%s,%s\r\n", rows)
+    lines = ("%r,%s,%s\r\n" % (se, crossing.kind.value,
+                                _blank_none(crossing.snr_db))
+             for se, crossing
+             in zip(grid.eve_snr_db, grid.zero_crossing_bob_snr_db))
+    return _write_csv(path, ("eve_snr_db", "kind", "min_bob_snr_db"), lines)
+
+
+# The kind a threshold grid's cell is written with: a float SNR is a
+# threshold, None is infeasible.
+_THRESHOLD_TEXT = ThresholdKind.THRESHOLD.value
+_INFEASIBLE_TEXT = ThresholdKind.INFEASIBLE.value
+
+
+def _threshold_csv_lines(grid: ThresholdSweepGrid):
+    """Each cell's CSV line from its row's two line templates, one per
+    kind: a threshold cell formats its SNR, an infeasible one nothing."""
+    jitters = [repr(jitter) for jitter in grid.eve_jitter_s]
+    for w, snrs in zip(grid.jamming_bits, grid.cells.snr_db):
+        threshold = "%d,%%s,%s,%%r\r\n" % (w, _THRESHOLD_TEXT)
+        infeasible = "%d,%%s,%s,\r\n" % (w, _INFEASIBLE_TEXT)
+        for jitter, snr in zip(jitters, snrs):
+            yield (infeasible % jitter if snr is None
+                   else threshold % (jitter, snr))
 
 
 def write_threshold_grid_csv(grid: ThresholdSweepGrid, path) -> Path:
-    jitters = [repr(jitter) for jitter in grid.eve_jitter_s]
-    rows = ((w, jitter, _KIND_TEXT[cell.kind], _blank_none(cell.snr_db))
-            for w, row in zip(map("%d".__mod__, grid.jamming_bits), grid.cells)
-            for jitter, cell in zip(jitters, row))
+    """One row per cell, jamming-bits index outer; each SNR is formatted
+    straight from ``grid.cells.snr_db``."""
     return _write_csv(path, ("jamming_bits_per_symbol", "eve_jitter_s",
                              "kind", "min_bob_snr_db"),
-                      "%s,%s,%s,%s\r\n", rows)
+                      _threshold_csv_lines(grid))
 
 
 def grid_to_dict(grid: RateSweepGrid | ThresholdSweepGrid) -> dict:
@@ -158,7 +171,8 @@ _RATE_ROW = ('{\n        "bandwidth_hz": %s,\n        "bob_term_bits": %s,'
 _RATE_COLUMN = '        "delta_e": %s,\n        "eve_term_bits": %s,\n'
 _RATE_CELL = '%s%s        "positive": %s,\n        "rate_bits_per_s": %s\n      }'
 _THRESHOLD_CELL = '{\n        "kind": %s,\n        "snr_db": %s\n      }'
-_KIND_JSON = {kind: json.dumps(text) for kind, text in _KIND_TEXT.items()}
+_INFEASIBLE_JSON = _THRESHOLD_CELL % (json.dumps(_INFEASIBLE_TEXT), "null")
+_THRESHOLD_JSON = _THRESHOLD_CELL % (json.dumps(_THRESHOLD_TEXT), "%s")
 
 
 def _json_row(cells: list) -> str:
@@ -181,9 +195,9 @@ def _rate_rows_json(grid: RateSweepGrid):
 
 
 def _threshold_rows_json(grid: ThresholdSweepGrid):
-    return (_json_row([_THRESHOLD_CELL % (_KIND_JSON[cell.kind],
-                                          _json_scalar(cell.snr_db))
-                       for cell in row]) for row in grid.cells)
+    return (_json_row([_INFEASIBLE_JSON if snr is None
+                       else _THRESHOLD_JSON % _json_scalar(snr)
+                       for snr in snrs]) for snrs in grid.cells.snr_db)
 
 
 def _grid_json(payload):

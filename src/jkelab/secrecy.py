@@ -181,18 +181,33 @@ def min_bob_snr_for_positive_rs(params: SystemParams) -> SnrThreshold:
 _INFEASIBLE = SnrThreshold(ThresholdKind.INFEASIBLE)
 
 
+def _as_threshold(snr_db: float | None) -> SnrThreshold:
+    """The threshold at ``snr_db``, or ``_INFEASIBLE`` for None."""
+    return (_INFEASIBLE if snr_db is None
+            else SnrThreshold(ThresholdKind.THRESHOLD, snr_db))
+
+
 def _threshold(p: float, delta_b: float, delta_e: float,
                eve_noise_var: float) -> SnrThreshold:
+    return _as_threshold(_min_snr_db(p, delta_b ** 2 / 12.0, delta_e,
+                                     eve_noise_var))
+
+
+def _min_snr_db(p: float, bob_quant: float, delta_e: float,
+                eve_noise_var: float) -> float | None:
+    """The minimum legitimate SNR in dB with positive secrecy, or None where
+    it is infeasible; ``bob_quant`` is the legitimate receiver's
+    step^2/12."""
     numerator, eve_floor = _eve_excess(p, eve_noise_var, delta_e)
-    channel_noise = eve_floor * (p / numerator) - delta_b ** 2 / 12.0
+    channel_noise = eve_floor * (p / numerator) - bob_quant
     if channel_noise <= 0:
-        return _INFEASIBLE
+        return None
     snr = p / channel_noise
     if not sys.float_info.min <= snr < math.inf:  # 0, subnormal or inf
         raise ValidationError(
             f"minimum bob SNR at eve noise variance {eve_noise_var!r} is out "
             "of range: its linear value is not a positive normal float")
-    return SnrThreshold(ThresholdKind.THRESHOLD, 10.0 * math.log10(snr))
+    return 10.0 * math.log10(snr)
 
 
 def _check_axis(name: str, values, integer: bool = False) -> tuple:
@@ -260,14 +275,50 @@ class RateSweepGrid:
     zero_crossing_bob_snr_db: tuple  # one SnrThreshold per eve_snr_db column
 
 
+@dataclass(frozen=True, slots=True)
+class ThresholdCells(Sequence):
+    """A swept threshold grid's cells as their SNRs: ``snr_db[i][j]`` is
+    the threshold in dB, or None where it is infeasible. ``cells[i]`` is
+    row i as a tuple of :class:`SnrThreshold`, built only when it is read;
+    its infeasible cells are all ``_INFEASIBLE``."""
+
+    snr_db: tuple  # one tuple of floats and Nones per row
+
+    def __len__(self) -> int:
+        return len(self.snr_db)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(tuple(map(_as_threshold, row))
+                         for row in self.snr_db[index])
+        return tuple(map(_as_threshold, self.snr_db[index]))
+
+
+def _snr_of(cell: SnrThreshold) -> float | None:
+    """``cell``'s SNR, None exactly when it is infeasible."""
+    if (cell.kind is ThresholdKind.INFEASIBLE) != (cell.snr_db is None):
+        raise ValueError(f"{cell!r} is neither a threshold with an SNR nor "
+                         "infeasible without one")
+    return cell.snr_db
+
+
 @dataclass(frozen=True)
 class ThresholdSweepGrid:
     """Minimum legitimate-SNR thresholds over a (jamming bits x
-    eavesdropper jitter) grid, for a noiseless eavesdropper channel."""
+    eavesdropper jitter) grid, for a noiseless eavesdropper channel.
+
+    ``cells`` is a :class:`ThresholdCells`, which the grid writers format
+    directly; rows of :class:`SnrThreshold`s given instead are kept as
+    one."""
 
     jamming_bits: tuple
     eve_jitter_s: tuple
-    cells: tuple  # cells[i][j] -> SnrThreshold at (jamming_bits[i], eve_jitter_s[j])
+    cells: ThresholdCells  # cells[i][j] -> SnrThreshold at (jamming_bits[i], eve_jitter_s[j])
+
+    def __post_init__(self):
+        if not isinstance(self.cells, ThresholdCells):
+            object.__setattr__(self, "cells", ThresholdCells(tuple(
+                tuple(map(_snr_of, row)) for row in self.cells)))
 
 
 def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSweepGrid:
@@ -311,20 +362,23 @@ def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSwe
 
 def sweep_min_bob_snr(template: SystemParams, jamming_bits, eve_jitter_s) -> ThresholdSweepGrid:
     """Evaluate the positive-secrecy SNR threshold over a (jamming bits x
-    eavesdropper jitter) grid with a noiseless eavesdropper channel."""
+    eavesdropper jitter) grid with a noiseless eavesdropper channel. Eve's
+    ENOB is taken once per jitter and her steps over the grid by
+    :func:`adc.eve_resolutions`, so each cell only combines floats as
+    :func:`min_bob_snr_for_positive_rs` does; the grid keeps the SNRs as
+    :class:`ThresholdCells` and builds no threshold per cell."""
     w_axis = _check_axis("jamming bits", jamming_bits, integer=True)
     jitter_axis = _check_axis("eve jitter", eve_jitter_s)
     if any(v <= 0 for v in jitter_axis):
         raise ValidationError("eve jitter axis values must be positive")
 
     p, l = template.signal_power, template.dynamic_range_factor
-    delta_b = adc.bob_resolution(p, template.bob_bits(), l)
+    bob_quant = adc.bob_resolution(p, template.bob_bits(), l) ** 2 / 12.0
     # ENOB from the jitter alone: an explicit-bits override on the
     # template's eavesdropper ADC must not pin the whole jitter axis.
     eve_bits = [adc.enob_from_jitter(template.bandwidth_hz, jitter)
                 for jitter in jitter_axis]
-    rows = tuple(
-        tuple(_threshold(p, delta_b, adc.eve_resolution(p, bits, w, l), 0.0)
-              for bits in eve_bits)
-        for w in w_axis)
-    return ThresholdSweepGrid(w_axis, jitter_axis, rows)
+    rows = tuple(tuple([_min_snr_db(p, bob_quant, delta_e, 0.0)
+                        for delta_e in steps])
+                 for steps in adc.eve_resolutions(p, eve_bits, w_axis, l))
+    return ThresholdSweepGrid(w_axis, jitter_axis, ThresholdCells(rows))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from jkelab import (QuantizerConfig, bob_resolution, enob_from_jitter,
                     eve_resolution, quantize)
+from jkelab.adc import eve_resolutions
 
 
 def enob_oracle(bandwidth_hz: float, jitter_s: float) -> float:
@@ -191,3 +192,58 @@ class TestQuantize:
         xs = rng.uniform(-q.full_scale, q.full_scale, 10000)
         err = np.abs(quantize(xs, q) - xs)
         assert np.all(err <= q.step / 2 * (1 + 1e-9))
+
+
+def per_cell_steps(power, bits, words, l):
+    return [[eve_resolution(power, b, w, l) for b in bits] for w in words]
+
+
+class TestEveResolutionsGrid:
+    """``eve_resolutions`` checks a whole grid at once; every step and every
+    error must be what the per-cell ``eve_resolution`` gives."""
+
+    @given(st.floats(min_value=1e-6, max_value=1e6),
+           st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=1,
+                    max_size=6),
+           st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                    max_size=4),
+           st.floats(min_value=0.1, max_value=10.0))
+    def test_steps_equal_per_cell_steps(self, power, bits, words, l):
+        assert repr(eve_resolutions(power, bits, words, l)) == repr(
+            per_cell_steps(power, bits, words, l))
+
+    @pytest.mark.parametrize("power, bits, words, l", [
+        (1.0, [10.0, 1100.0, 1200.0], [0, 1], 2.5),  # 2^bits overflows
+        (1.0, [10.0, -500.0], [0, 20, 30], 2.5),  # rows 1 and 2 only
+        (1.0, [-500.0, -510.0], [0, 15], 2.5),  # row 0 before column 0
+        (1.0, [10.0, -600.0], [0], 2.5),  # the square overflows
+        (1.0, [10.0, -1100.0], [0], 2.5),  # 2^bits underflows to 0
+        (1.0, [10.0, 600.0], [3], 2.5),  # the square underflows
+        (1.0, [10.0, math.inf], [0], 2.5),  # a zero step
+        (1.0, [10.0, math.nan, 20.0], [0], 2.5),  # a NaN step
+        (1.0, [10.0, 20.0], [0], 1e308),  # the dynamic range is inf
+        (1.0, [math.inf], [0], 1e308),  # inf / inf
+    ], ids=["pow-overflow", "second-row", "row-major", "square-overflow",
+            "pow-underflow", "square-underflow", "zero-step", "nan-step",
+            "inf-range", "inf-over-inf"])
+    def test_a_failing_grid_names_its_first_failing_step(self, power, bits,
+                                                         words, l):
+        with pytest.raises(ValueError) as per_cell:
+            per_cell_steps(power, bits, words, l)
+        assert str(per_cell.value).startswith("quantizer step at ")
+        with pytest.raises(ValueError) as grid:
+            eve_resolutions(power, bits, words, l)
+        assert str(grid.value) == str(per_cell.value)
+
+    def test_empty_axes_give_empty_rows(self):
+        assert eve_resolutions(1.0, [], [0, 3], 2.5) == [[], []]
+        assert eve_resolutions(1.0, [10.0], [], 2.5) == []
+
+    @pytest.mark.parametrize("power, words, l, message", [
+        (1.0, [0, -1], 2.5, "jamming bits per symbol must be non-negative"),
+        (0.0, [0], 2.5, "signal power must be positive"),
+        (1.0, [0], -1.0, "dynamic range factor must be positive"),
+    ])
+    def test_bad_inputs_rejected_as_per_cell(self, power, words, l, message):
+        with pytest.raises(ValueError, match=message):
+            eve_resolutions(power, [10.0], words, l)

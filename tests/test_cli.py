@@ -733,6 +733,24 @@ class TestConfigNumbers:
         assert "not a finite float" in err
         assert not list(out.glob("grid.*"))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_subnormal_fig3b_jitter_names_the_step(self, tmp_path, capsys,
+                                                   fmt):
+        # At 5e-324 s Eve's ENOB is about 1046 bits, so 2^(bits - w)
+        # overflows on the whole jitter column. The sweep checks its steps
+        # together, and names the first failing one (w = 1) as the per-cell
+        # adc.eve_resolution does.
+        config = load_config("fig3b")
+        config["sweep"]["eve_jitter_s"] = {"values": [5e-324, 1e-15]}
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, config),
+                     "--out", str(out), "--format", fmt]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: quantizer step at 1044.906895295435 bits and dynamic "
+            "range factor 2.5 is out of range: it or its square is not a "
+            "positive finite float\n")
+        assert not out.exists()
+
     def test_documented_non_numbers_accepted(self, tmp_path):
         system = HEADLINE_SYSTEM | {
             "bob_adc": {"aperture_jitter_s": 500e-15, "explicit_bits": None},

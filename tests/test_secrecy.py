@@ -436,6 +436,23 @@ class TestThresholdSweep:
         assert len(infeasible) == 3
         assert all(cell is infeasible[0] for cell in infeasible)
 
+    @pytest.mark.parametrize("cell", [
+        secrecy.SnrThreshold(ThresholdKind.THRESHOLD),
+        secrecy.SnrThreshold(ThresholdKind.INFEASIBLE, 12.5)])
+    def test_hand_built_cell_needs_an_snr_exactly_when_feasible(self, cell):
+        with pytest.raises(ValueError, match="neither a threshold with an SNR"):
+            secrecy.ThresholdSweepGrid((14,), (5e-15,), ((cell,),))
+
+    def test_threshold_outside_the_normal_range_keeps_its_message(self):
+        # The linear threshold underflows to 0 at this tiny signal power.
+        params = dataclasses.replace(SystemParams(**HEADLINE_POINT),
+                                     signal_power=1e-300, eve_noise_var=1e30)
+        with pytest.raises(ValidationError) as exc:
+            min_bob_snr_for_positive_rs(params)
+        assert str(exc.value) == (
+            "minimum bob SNR at eve noise variance 1e+30 is out of range: "
+            "its linear value is not a positive normal float")
+
     def test_forces_noiseless_eve(self, headline_params):
         # template carries eavesdropper channel noise; the sweep must ignore it
         grid_noisy = sweep_min_bob_snr(headline_params, [14], [5e-15])

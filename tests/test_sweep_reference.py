@@ -10,13 +10,15 @@ fails. Each column's zero-rate crossing must have the ``repr`` of
 kind and its SNR, wherever it lies against the legitimate-SNR axis.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from jkelab import config as cfg
 from jkelab.params import AdcSpec, SnrPoint, SystemParams, snr_to_noise_var
-from jkelab.secrecy import (ThresholdKind, min_bob_snr_for_positive_rs,
+from jkelab.secrecy import (_INFEASIBLE, ThresholdCells, ThresholdKind,
+                            ThresholdSweepGrid, min_bob_snr_for_positive_rs,
                             secrecy_rate, sweep_min_bob_snr, sweep_rate_vs_snr)
 
 
@@ -121,6 +123,50 @@ def test_fig3a_crossings_of_every_kind():
 def test_shipped_fig3b_axes():
     template, (w_axis, jitter_axis) = shipped("fig3b")
     check_threshold_sweep(template, [int(w) for w in w_axis], jitter_axis)
+
+
+def test_threshold_cells_read_as_the_rows_they_replace():
+    template, _ = shipped("fig3b")
+    w_axis, jitter_axis = [0, 1, 8, 14, 20, 32], [1e-15, 5e-14, 5e-13, 1e-9]
+    cells = sweep_min_bob_snr(template, w_axis, jitter_axis).cells
+    rows = reference_threshold_grid(template, w_axis, jitter_axis)
+    assert isinstance(cells, ThresholdCells)
+    assert len(cells) == len(rows) == 6
+    for i in range(-len(rows), len(rows)):
+        assert repr(cells[i]) == repr(rows[i])
+    for part in (slice(1, 4), slice(None, None, -2), slice(4, 40), slice(3, 1)):
+        assert repr(cells[part]) == repr(rows[part])
+    assert repr(tuple(cells)) == repr(rows)
+    assert repr(list(reversed(cells))) == repr(list(reversed(rows)))
+    with pytest.raises(IndexError):
+        cells[len(rows)]
+    kinds = {cell.kind for row in rows for cell in row}
+    assert kinds == set(ThresholdKind)
+    infeasible = [cell for row in cells for cell in row
+                  if cell.kind is ThresholdKind.INFEASIBLE]
+    assert all(cell is _INFEASIBLE for cell in infeasible)
+    # Rows of thresholds given by hand are kept as the same cells.
+    assert ThresholdSweepGrid(tuple(w_axis), tuple(jitter_axis),
+                              rows).cells == cells
+
+
+def test_random_fig3b_grids_match_the_reference():
+    # Seeded grids with w in 0..32 and jitter from 1e-18 to 1e-9 s, at
+    # random signal powers and dynamic range factors: each crosses the
+    # infeasible boundary, which the reference must be matched on both
+    # sides of.
+    rng = random.Random(2323)
+    shipped_template, _ = shipped("fig3b")
+    for _ in range(25):
+        template = replace(shipped_template,
+                           signal_power=10.0 ** rng.uniform(-3.0, 3.0),
+                           dynamic_range_factor=rng.uniform(1.0, 6.0))
+        w_axis = sorted(rng.sample(range(33), rng.randint(8, 20)))
+        jitter_axis = sorted({10.0 ** rng.uniform(-18.0, -9.0)
+                              for _ in range(rng.randint(8, 20))})
+        grid = check_threshold_sweep(template, w_axis, jitter_axis)
+        kinds = {cell.kind for row in grid.cells for cell in row}
+        assert kinds == set(ThresholdKind)
 
 
 @pytest.mark.parametrize("bandwidth_hz", [1e6, 2e9])
