@@ -27,8 +27,14 @@ def enob_from_jitter(bandwidth_hz: float, aperture_jitter_s: float) -> float:
         raise ValueError("bandwidth must be positive")
     if not aperture_jitter_s > 0:
         raise ValueError("aperture jitter must be positive")
-    return -(20.0 * math.log10(2.0 * math.pi * bandwidth_hz * aperture_jitter_s)
-             + 1.76) / 6.02
+    product = 2.0 * math.pi * bandwidth_hz * aperture_jitter_s
+    # An overflow gives -inf bits, which the quantizer step check names.
+    if not product > 0:
+        raise ValueError(
+            f"effective bits at bandwidth {bandwidth_hz!r} Hz and aperture "
+            f"jitter {aperture_jitter_s!r} s are out of range: "
+            "2*pi*bandwidth*jitter is not a positive float")
+    return -(20.0 * math.log10(product) + 1.76) / 6.02
 
 
 def _dynamic_range(signal_power: float, dynamic_range_factor: float) -> float:

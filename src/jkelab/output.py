@@ -260,11 +260,12 @@ def write_trace_csv(trace: SimTrace, path) -> Path:
     8-byte length, through a pipe apiece, and this process writes its own
     batches and theirs in file order, so the bytes do not depend on N. A
     failed child or a short pipe is an ``OSError``; every child is reaped
-    before this returns or raises.
+    before this returns or raises. The trace's derived columns are formed
+    here, before any child is forked, and the row count is the columns'.
     """
     columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
     template = "%d" + ",%r" * len(columns) + "\r\n"
-    starts = range(0, len(trace), _BATCH_ROWS)
+    starts = range(0, len(columns[0]), _BATCH_ROWS)
     procs = min(_trace_processes(), len(starts))
     path = Path(path)
     pipes = []  # (pid, read end) of each child, child k dealt batches k::procs

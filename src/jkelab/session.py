@@ -18,6 +18,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,12 +68,17 @@ class CancellationModel:
 class SimTrace:
     """Per-sample record of one session plus derived statistics.
 
-    All sequences share one length and satisfy, exactly:
-    ``bob_rx = clean_signal + jamming + bob_noise`` and
-    ``eve_rx = clean_signal + jamming + eve_noise``.
-    ``eve_post`` is the stored record minus the true jamming (the
-    best-case storage attack); ``stats`` is recomputable from the
-    sequences bit-for-bit. The sequences are read-only.
+    The trace stores what cannot be re-formed: ``jamming``, both channel
+    noises, Bob's quantized samples ``bob_post`` and Eve's stored record
+    ``eve_stored``. The other four sequences are formed on first read,
+    by the session's own operations, and then cached; forming one keeps
+    no other array alive. They satisfy, exactly:
+    ``clean_signal`` is the key's 2-PAM amplitudes repeated to the block
+    length, ``bob_rx = clean_signal + jamming + bob_noise``,
+    ``eve_rx = clean_signal + jamming + eve_noise``, and ``eve_post`` is
+    the stored record minus the true jamming (the best-case storage
+    attack). ``stats`` is recomputable from the sequences bit-for-bit.
+    Every sequence is read-only.
     """
 
     params: SystemParams
@@ -80,20 +86,48 @@ class SimTrace:
     key: KeyMaterial
     jamming_seed: KeyMaterial
     jam_scale: float
-    clean_signal: np.ndarray
     jamming: np.ndarray
     bob_noise: np.ndarray
     eve_noise: np.ndarray
-    bob_rx: np.ndarray
-    eve_rx: np.ndarray
     bob_post: np.ndarray
     eve_stored: np.ndarray
-    eve_post: np.ndarray
     stats: dict
     warnings: tuple
 
     def __len__(self) -> int:
-        return len(self.clean_signal)
+        return len(self.jamming)
+
+    @cached_property
+    def clean_signal(self) -> np.ndarray:
+        return _read_only(self._clean())
+
+    @cached_property
+    def bob_rx(self) -> np.ndarray:
+        return _read_only(self._received(self.bob_noise))
+
+    @cached_property
+    def eve_rx(self) -> np.ndarray:
+        return _read_only(self._received(self.eve_noise))
+
+    @cached_property
+    def eve_post(self) -> np.ndarray:
+        return _read_only(self.eve_stored - self.jamming)
+
+    def _clean(self) -> np.ndarray:
+        return _repeat_key(_encode_key(self.key, self.params.signal_power),
+                           np.empty(len(self)))
+
+    def _received(self, noise: np.ndarray) -> np.ndarray:
+        # clean + jam, then + noise, in the buffer of a fresh clean signal.
+        rx = self._clean()
+        rx += self.jamming
+        rx += noise
+        return rx
+
+
+def _read_only(seq: np.ndarray) -> np.ndarray:
+    seq.setflags(write=False)
+    return seq
 
 
 def default_jam_scale(params: SystemParams) -> float:
@@ -112,17 +146,41 @@ def _encode_key(key: KeyMaterial, signal_power: float) -> np.ndarray:
     return (2.0 * key.bit_array() - 1.0) * math.sqrt(signal_power)
 
 
+def _rows(seq: np.ndarray, n_bits: int) -> tuple:
+    """``seq`` as rows of ``n_bits`` symbols, so that column j holds the
+    symbols of key bit j, and the partial last row."""
+    full = len(seq) - len(seq) % n_bits
+    return seq[:full].reshape(-1, n_bits), seq[full:]
+
+
+def _repeat_key(amplitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.resize(amplitudes, len(out))``, the clean signal, written into
+    ``out``."""
+    rows, tail = _rows(out, len(amplitudes))
+    rows[...] = amplitudes
+    tail[...] = amplitudes[:len(tail)]
+    return out
+
+
+def _subtract_key(observed: np.ndarray, amplitudes: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """``observed`` minus the clean signal, element for element, in ``out``
+    (which may be ``observed`` itself), through the rows of both, so the
+    clean signal itself is not formed."""
+    for seq, result in zip(_rows(observed, len(amplitudes)),
+                           _rows(out, len(amplitudes))):
+        np.subtract(seq, amplitudes[:seq.shape[-1]], out=result)
+    return out
+
+
 def _bob_errors(key: KeyMaterial, bit_amplitudes: np.ndarray,
                 bob_post: np.ndarray, out: np.ndarray) -> tuple:
     """Symbol sign errors, then the majority vote per key bit over its
     repetition positions: returns (symbol error count, key bit error
     count, bits covered by at least one symbol). The signs of
     ``bob_post`` go to ``out``."""
-    # Rows of n_bits symbols, so that column j holds key bit j, plus the
-    # partial last row.
     signs = np.sign(bob_post, out=out)
-    full = len(signs) - len(signs) % key.n_bits
-    rows, tail = signs[:full].reshape(-1, key.n_bits), signs[full:]
+    rows, tail = _rows(signs, key.n_bits)
     bit_signs = np.sign(bit_amplitudes)
     symbol_errors = (np.count_nonzero(rows != bit_signs)
                      + np.count_nonzero(tail != bit_signs[:len(tail)]))
@@ -174,7 +232,7 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
     # full-length buffer: glibc gives each thread its own malloc arena,
     # and one that the helper allocated would stay in the helper's arena
     # once freed (peak RSS rose by about 20 MB at 3e6 symbols).
-    bob_noise, eve_noise, spare = (np.empty(n_symbols) for _ in range(3))
+    bob_noise, eve_noise = np.empty(n_symbols), np.empty(n_symbols)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="jkelab-session",
                             initializer=_use_errstate,
                             initargs=(np.geterr(), np.geterrcall())) as pool:
@@ -183,7 +241,6 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         eve_drawn = pool.submit(_normal, rng, math.sqrt(params.eve_noise_var),
                                 eve_noise)
         bit_amplitudes = _encode_key(key, p)
-        clean = np.resize(bit_amplitudes, n_symbols)
         if w > 0:
             jam = jamming_stream(jamming_seed, w, n_symbols, jam_scale).symbols
         else:
@@ -191,16 +248,20 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
 
         # clean + jam is formed once, for both receivers, in eve_rx's
         # buffer. Bob's chain runs while Eve's noise is still being drawn.
-        eve_rx = clean + jam
-        bob_rx = eve_rx + bob_drawn.result()
+        # The clean signal is formed only there and for its power: the
+        # errors subtract the key's amplitudes row by row (_subtract_key).
+        eve_rx = _repeat_key(bit_amplitudes, np.empty(n_symbols))
+        eve_rx += jam
 
         # Analog-domain cancellation happens before the ADC, so the
         # quantizer only spans the useful signal plus whatever residual
-        # survives. ``scratch`` holds bob_pre, then the caller's operands
-        # of the statistics.
-        residual_gain = 1.0 - cancel.residual_amplitude_factor
-        scratch = np.multiply(jam, residual_gain)
-        np.subtract(bob_rx, scratch, out=scratch)
+        # survives: bob_pre = (clean + jam) + bob_noise - jam * (1 - a),
+        # formed in ``scratch``. After Bob's quantizer, ``scratch`` and
+        # the ``spare`` that held jam * (1 - a) are the caller's and the
+        # helper's buffers for the statistics.
+        scratch = eve_rx + bob_drawn.result()
+        spare = np.multiply(jam, 1.0 - cancel.residual_amplitude_factor)
+        np.subtract(scratch, spare, out=scratch)
         bob_q = adc.QuantizerConfig.for_signal(p, params.bob_bits(),
                                                params.dynamic_range_factor)
         bob_post = adc.quantize(scratch, bob_q)
@@ -209,24 +270,27 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         eve_q = adc.QuantizerConfig.for_jammed_signal(
             p, params.eve_bits(), w, params.dynamic_range_factor)
         eve_stored = adc.quantize(eve_rx, eve_q)
-        eve_post = eve_stored - jam
 
         # Each statistic forms its operand in the scratch buffer of the
-        # thread that runs it.
+        # thread that runs it; the post-attack ones form eve_post there.
         ((symbol_errors, bit_errors, bits_covered), signal_power_emp,
          residual_jamming_power, bob_error_var, eve_pre_error_var,
          bob_noise_var, eve_noise_var, eve_post_error_var, eve_residual_var,
          jamming_power_emp) = _share(pool, [
              lambda out: _bob_errors(key, bit_amplitudes, bob_post, out),
-             lambda out: float(np.mean(np.square(clean, out=out))),
+             lambda out: float(np.mean(np.square(
+                 _repeat_key(bit_amplitudes, out), out=out))),
              lambda out: _variance(np.multiply(
                  jam, cancel.residual_amplitude_factor, out=out), out=out),
-             lambda out: _error_variance(bob_post, clean, out),
-             lambda out: _error_variance(eve_rx, clean, out),
+             lambda out: _error_variance(bob_post, bit_amplitudes, out),
+             lambda out: _error_variance(eve_rx, bit_amplitudes, out),
              lambda out: _variance(bob_noise, out=out),
              lambda out: _variance(eve_noise, out=out),
-             lambda out: _error_variance(eve_post, clean, out),
-             lambda out: _residual_variance(eve_post, clean, eve_noise, out),
+             lambda out: _error_variance(
+                 np.subtract(eve_stored, jam, out=out), bit_amplitudes, out),
+             lambda out: _residual_variance(
+                 np.subtract(eve_stored, jam, out=out), bit_amplitudes,
+                 eve_noise, out),
              lambda out: _variance(jam, out=out),
          ], scratch, spare)
     stats = {
@@ -248,16 +312,13 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         "eve_residual_var": eve_residual_var,
         "insufficient_cancellation": bool(warnings),
     }
-    for seq in (clean, jam, bob_noise, eve_noise, bob_rx, eve_rx, bob_post,
-                eve_stored, eve_post):
+    for seq in (jam, bob_noise, eve_noise, bob_post, eve_stored):
         seq.setflags(write=False)
 
     return SimTrace(params=params, cancel=cancel, key=key,
                     jamming_seed=jamming_seed, jam_scale=jam_scale,
-                    clean_signal=clean, jamming=jam,
-                    bob_noise=bob_noise, eve_noise=eve_noise,
-                    bob_rx=bob_rx, eve_rx=eve_rx, bob_post=bob_post,
-                    eve_stored=eve_stored, eve_post=eve_post,
+                    jamming=jam, bob_noise=bob_noise, eve_noise=eve_noise,
+                    bob_post=bob_post, eve_stored=eve_stored,
                     stats=stats, warnings=tuple(warnings))
 
 
@@ -273,19 +334,20 @@ def _variance(x: np.ndarray, out: np.ndarray) -> float:
     return float(np.add.reduce(out) / n)
 
 
-def _error_variance(observed: np.ndarray, clean: np.ndarray,
+def _error_variance(observed: np.ndarray, amplitudes: np.ndarray,
                     out: np.ndarray) -> float:
-    """Variance of the error ``observed - clean``, formed in ``out`` (which
-    may be ``observed`` itself)."""
-    return _variance(np.subtract(observed, clean, out=out), out=out)
+    """Variance of the error ``observed - clean``, for the clean signal of
+    the key's ``amplitudes``, formed in ``out`` (which may be ``observed``
+    itself)."""
+    return _variance(_subtract_key(observed, amplitudes, out), out=out)
 
 
-def _residual_variance(observed: np.ndarray, clean: np.ndarray,
+def _residual_variance(observed: np.ndarray, amplitudes: np.ndarray,
                        noise: np.ndarray, out: np.ndarray) -> float:
     """Variance of what the error ``observed - clean`` holds beyond the
     channel ``noise``, formed in ``out`` (which may be ``observed``
     itself)."""
-    error = np.subtract(observed, clean, out=out)
+    error = _subtract_key(observed, amplitudes, out)
     return _variance(np.subtract(error, noise, out=error), out=error)
 
 
@@ -381,8 +443,8 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
     outcome: everything left beyond channel noise is quantization loss,
     baked in at reception time. A wrong-seed stream only adds power.
 
-    The session has already formed that outcome as ``trace.eve_post``, so
-    for the session's own array (``jamming.symbols is trace.jamming``, as
+    The session has already taken the statistics of that outcome
+    (``trace.eve_post``), so for the session's own array (``jamming.symbols is trace.jamming``, as
     :func:`true_jamming_stream` returns) the report takes its statistics
     from ``trace.stats``. Any other stream, an equal copy included, is
     subtracted in full by the same rule.
@@ -394,13 +456,15 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
         residual_var = trace.stats["eve_residual_var"]
     else:
         # One scratch buffer: the stored record minus the stream is formed
-        # in it once for each statistic.
+        # in it once for each statistic. Like the session's statistics,
+        # these never form the clean signal.
+        amplitudes = _encode_key(trace.key, trace.params.signal_power)
         cleaned = np.subtract(trace.eve_stored, jamming.symbols)
         post_attack_snr = _snr(trace.stats["signal_power_emp"],
-                               _error_variance(cleaned, trace.clean_signal,
+                               _error_variance(cleaned, amplitudes,
                                                out=cleaned))
         np.subtract(trace.eve_stored, jamming.symbols, out=cleaned)
-        residual_var = _residual_variance(cleaned, trace.clean_signal,
+        residual_var = _residual_variance(cleaned, amplitudes,
                                           trace.eve_noise, out=cleaned)
     return EveAttackReport(
         n_symbols=len(trace),

@@ -58,6 +58,13 @@ class TestEnob:
         with pytest.raises(ValueError):
             enob_from_jitter(bw, jitter)
 
+    # 2*pi*B*jitter underflows to 0 here, which has no logarithm.
+    def test_underflowing_product_is_named(self):
+        with pytest.raises(ValueError, match=r"^effective bits at bandwidth "
+                           r"1e-10 Hz and aperture jitter 5e-324 s are out "
+                           r"of range"):
+            enob_from_jitter(1e-10, 5e-324)
+
 
 class TestResolutions:
     def test_zero_bits_spans_full_range(self):

@@ -751,6 +751,23 @@ class TestConfigNumbers:
             "positive finite float\n")
         assert not out.exists()
 
+    # 2*pi*B*jitter underflows to 0 for Eve, which had no logarithm: the
+    # bare "math domain error" named neither value.
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_underflowing_enob_product_names_its_values(self, tmp_path, capsys,
+                                                       command):
+        system = HEADLINE_SYSTEM | {"bandwidth_hz": 1e-10,
+                                    "eve_adc": {"aperture_jitter_s": 5e-324}}
+        cfg = write_config(tmp_path, {"system": system, "simulate": SIM_BLOCK})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == \
+            EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: effective bits at bandwidth 1e-10 Hz and aperture jitter "
+            "5e-324 s are out of range: 2*pi*bandwidth*jitter is not a "
+            "positive float\n")
+        assert not out.exists()
+
     def test_documented_non_numbers_accepted(self, tmp_path):
         system = HEADLINE_SYSTEM | {
             "bob_adc": {"aperture_jitter_s": 500e-15, "explicit_bits": None},

@@ -620,3 +620,52 @@ class TestHelperThread:
         finally:
             tracemalloc.stop()
         assert peak < 11.25 * 8 * n
+
+
+class TestLeanTrace:
+    """A finished trace keeps only the arrays it cannot re-form; the other
+    four are formed on first read, by the session's own arithmetic."""
+
+    N = 200_000
+
+    @pytest.fixture
+    def point(self, headline_params):
+        return dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
+
+    def test_trace_keeps_five_arrays_and_forms_two_on_read(self, point):
+        buffers = 8 * self.N
+        key = KeyMaterial.random(seed=1)
+        run_jke_session(point, CancellationModel(60.0), key, self.N, rng_seed=3)
+        tracemalloc.start()
+        try:
+            trace = run_jke_session(point, CancellationModel(60.0), key,
+                                    self.N, rng_seed=4)
+            kept, peak = tracemalloc.get_traced_memory()
+            trace.bob_rx, trace.eve_rx
+            read, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # jamming, both noises, bob_post and eve_stored
+        assert 5 * buffers <= kept < 5.25 * buffers
+        assert 2 * buffers <= read - kept < 2.25 * buffers
+        # At the session's peak: those five, eve_rx and both threads'
+        # scratch buffers. The clean signal, bob_rx and eve_post are
+        # formed in neither.
+        assert peak < 8.25 * buffers
+
+    @pytest.mark.parametrize("w", [0, 14])
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_derived_arrays_are_their_formulas(self, headline_params, w, n):
+        point = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
+        key = KeyMaterial.random(seed=1)
+        trace = run_jke_session(point, IDEAL, key, n, rng_seed=3)
+        clean = np.resize(session._encode_key(key, point.signal_power), n)
+        want = {"clean_signal": clean,
+                "bob_rx": (clean + trace.jamming) + trace.bob_noise,
+                "eve_rx": (clean + trace.jamming) + trace.eve_noise,
+                "eve_post": trace.eve_stored - trace.jamming}
+        for name, formula in want.items():
+            got = getattr(trace, name)
+            assert got is getattr(trace, name), name
+            assert got.tobytes() == formula.tobytes(), name
+            assert not got.flags.writeable, name
