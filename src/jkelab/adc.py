@@ -28,12 +28,12 @@ def enob_from_jitter(bandwidth_hz: float, aperture_jitter_s: float) -> float:
     if not aperture_jitter_s > 0:
         raise ValueError("aperture jitter must be positive")
     product = 2.0 * math.pi * bandwidth_hz * aperture_jitter_s
-    # An overflow gives -inf bits, which the quantizer step check names.
-    if not product > 0:
+    if not 0 < product < math.inf:
         raise ValueError(
             f"effective bits at bandwidth {bandwidth_hz!r} Hz and aperture "
             f"jitter {aperture_jitter_s!r} s are out of range: "
-            "2*pi*bandwidth*jitter is not a positive float")
+            "2*pi*bandwidth*jitter is not a "
+            f"{'positive' if product == 0 else 'finite'} float")
     return -(20.0 * math.log10(product) + 1.76) / 6.02
 
 

@@ -154,8 +154,8 @@ REQUIRED = object()  # the default of a key that must be given
 
 # Size budgets, checked before anything of that size is allocated. A
 # sweep grid peaks near 0.7 KB per cell while its JSON is written, and a
-# session with its storage attack at about 62 B per symbol (w = 20: 98 MB
-# at 10^6 symbols, 222 MB at 3*10^6): about 0.7 GB at each budget.
+# session with its storage attack at about 53 B per symbol (w = 20: 90 MB
+# at 10^6 symbols, 197 MB at 3*10^6): about 0.6 GB at each budget.
 MAX_SWEEP_CELLS = 10 ** 6
 MAX_SYMBOLS = 10 ** 7
 

@@ -68,17 +68,20 @@ class CancellationModel:
 class SimTrace:
     """Per-sample record of one session plus derived statistics.
 
-    The trace stores what cannot be re-formed: ``jamming``, both channel
-    noises, Bob's quantized samples ``bob_post`` and Eve's stored record
-    ``eve_stored``. The other four sequences are formed on first read,
-    by the session's own operations, and then cached; forming one keeps
-    no other array alive. They satisfy, exactly:
+    The trace stores only what was drawn: ``jamming`` and both channel
+    noises. The other six sequences are formed on first read, by the
+    session's own operations, and then cached; forming one keeps no other
+    array alive. They satisfy, exactly:
     ``clean_signal`` is the key's 2-PAM amplitudes repeated to the block
     length, ``bob_rx = clean_signal + jamming + bob_noise``,
-    ``eve_rx = clean_signal + jamming + eve_noise``, and ``eve_post`` is
-    the stored record minus the true jamming (the best-case storage
-    attack). ``stats`` is recomputable from the sequences bit-for-bit.
-    Every sequence is read-only.
+    ``eve_rx = clean_signal + jamming + eve_noise``, ``bob_post`` is Bob's
+    quantizer applied to ``bob_rx - jamming * (1 - a)`` for the residual
+    amplitude factor ``a`` of his cancellation, ``eve_stored`` is Eve's
+    quantizer applied to ``eve_rx``, and ``eve_post`` is the stored record
+    minus the true jamming (the best-case storage attack). The two
+    quantized sequences and ``eve_post`` are formed block by block, so a
+    full-length ``bob_rx`` or ``eve_rx`` is not. ``stats`` is recomputable
+    from the sequences bit-for-bit. Every sequence is read-only.
     """
 
     params: SystemParams
@@ -89,8 +92,6 @@ class SimTrace:
     jamming: np.ndarray
     bob_noise: np.ndarray
     eve_noise: np.ndarray
-    bob_post: np.ndarray
-    eve_stored: np.ndarray
     stats: dict
     warnings: tuple
 
@@ -99,30 +100,56 @@ class SimTrace:
 
     @cached_property
     def clean_signal(self) -> np.ndarray:
-        return _read_only(self._clean())
+        return _read_only(_repeat_key(
+            _encode_key(self.key, self.params.signal_power),
+            np.empty(len(self))))
 
     @cached_property
     def bob_rx(self) -> np.ndarray:
-        return _read_only(self._received(self.bob_noise))
+        return _read_only(self._received(self.bob_noise, slice(None),
+                                         np.empty(len(self))))
 
     @cached_property
     def eve_rx(self) -> np.ndarray:
-        return _read_only(self._received(self.eve_noise))
+        return _read_only(self._received(self.eve_noise, slice(None),
+                                         np.empty(len(self))))
+
+    @cached_property
+    def bob_post(self) -> np.ndarray:
+        kept = 1.0 - self.cancel.residual_amplitude_factor
+        return _read_only(_quantize_blocks(
+            lambda block, buffer: _cancel(
+                self._received(self.bob_noise, block, buffer),
+                self.jamming[block], kept),
+            _bob_quantizer(self.params), np.empty(len(self)),
+            self.key.n_bits))
+
+    @cached_property
+    def eve_stored(self) -> np.ndarray:
+        return _read_only(self._eve_record(np.empty(len(self))))
 
     @cached_property
     def eve_post(self) -> np.ndarray:
-        return _read_only(self.eve_stored - self.jamming)
+        return _read_only(self._eve_record(np.empty(len(self)),
+                                           minus=self.jamming))
 
-    def _clean(self) -> np.ndarray:
-        return _repeat_key(_encode_key(self.key, self.params.signal_power),
-                           np.empty(len(self)))
-
-    def _received(self, noise: np.ndarray) -> np.ndarray:
-        # clean + jam, then + noise, in the buffer of a fresh clean signal.
-        rx = self._clean()
-        rx += self.jamming
-        rx += noise
+    def _received(self, noise: np.ndarray, block: slice,
+                  out: np.ndarray) -> np.ndarray:
+        """The received samples at the positions ``block``, which start on
+        key bit 0: clean + jam, then + noise, in ``out``."""
+        rx = _repeat_key(_encode_key(self.key, self.params.signal_power), out)
+        rx += self.jamming[block]
+        rx += noise[block]
         return rx
+
+    def _eve_record(self, out: np.ndarray,
+                    minus: np.ndarray | None = None) -> np.ndarray:
+        """Eve's stored record, less ``minus`` if given, formed block by
+        block in ``out``."""
+        return _quantize_blocks(
+            lambda block, buffer: self._received(self.eve_noise, block,
+                                                 buffer),
+            _eve_quantizer(self.params), out, self.key.n_bits, minus)
 
 
 def _read_only(seq: np.ndarray) -> np.ndarray:
@@ -173,17 +200,72 @@ def _subtract_key(observed: np.ndarray, amplitudes: np.ndarray,
     return out
 
 
+# Symbols per block of the passes that run a block at a time: forming and
+# quantizing a receiver's samples, and comparing Bob's signs. A block
+# needs only block-sized temporaries, and its passes stay in cache; on a
+# 2-vCPU Xeon VM, blocks of 2^13 symbols were slower than whole-array
+# passes and blocks of 2^14 as fast. A quantizer's block is a whole
+# number of key lengths, so that each one starts on key bit 0.
+_BLOCK_SYMBOLS = 1 << 14
+
+
+def _quantize_blocks(form, q: adc.QuantizerConfig, out: np.ndarray,
+                     n_bits: int,
+                     minus: np.ndarray | None = None) -> np.ndarray:
+    """``adc.quantize`` of the samples that ``form(block, buffer)`` returns
+    for each block of positions (a slice that starts on key bit 0 of a
+    key of ``n_bits``), less ``minus`` there if given, written there in
+    ``out``. ``buffer`` is one block-sized array that every block may form
+    its samples in. Quantizing is element-wise, so the blocks equal one
+    call on the whole sequence, bit for bit."""
+    size = max(1, _BLOCK_SYMBOLS // n_bits) * n_bits
+    buffer = np.empty(min(size, len(out)))
+    for start in range(0, len(out), size):
+        block = slice(start, min(start + size, len(out)))
+        samples = form(block, buffer[:block.stop - start])
+        if minus is None:
+            out[block] = adc.quantize(samples, q)
+        else:
+            np.subtract(adc.quantize(samples, q), minus[block],
+                        out=out[block])
+    return out
+
+
+def _cancel(rx: np.ndarray, jam: np.ndarray, kept: float) -> np.ndarray:
+    """Bob's analog-domain cancellation before his ADC, in ``rx``: the
+    received samples less the ``kept`` share of the jamming that his
+    cancellation removes."""
+    return np.subtract(rx, np.multiply(jam, kept), out=rx)
+
+
+def _bob_quantizer(params: SystemParams) -> adc.QuantizerConfig:
+    return adc.QuantizerConfig.for_signal(
+        params.signal_power, params.bob_bits(), params.dynamic_range_factor)
+
+
+def _eve_quantizer(params: SystemParams) -> adc.QuantizerConfig:
+    return adc.QuantizerConfig.for_jammed_signal(
+        params.signal_power, params.eve_bits(),
+        params.jamming_bits_per_symbol, params.dynamic_range_factor)
+
+
 def _bob_errors(key: KeyMaterial, bit_amplitudes: np.ndarray,
                 bob_post: np.ndarray, out: np.ndarray) -> tuple:
     """Symbol sign errors, then the majority vote per key bit over its
     repetition positions: returns (symbol error count, key bit error
     count, bits covered by at least one symbol). The signs of
-    ``bob_post`` go to ``out``."""
+    ``bob_post`` go to ``out``; they are compared with the key's a block
+    of rows at a time, in one small boolean buffer."""
     signs = np.sign(bob_post, out=out)
     rows, tail = _rows(signs, key.n_bits)
     bit_signs = np.sign(bit_amplitudes)
-    symbol_errors = (np.count_nonzero(rows != bit_signs)
-                     + np.count_nonzero(tail != bit_signs[:len(tail)]))
+    symbol_errors = np.count_nonzero(tail != bit_signs[:len(tail)])
+    step = max(1, _BLOCK_SYMBOLS // key.n_bits)
+    unequal = np.empty((min(step, len(rows)), key.n_bits), dtype=bool)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        symbol_errors += np.count_nonzero(
+            np.not_equal(part, bit_signs, out=unequal[:len(part)]))
     # Sums of -1/0/+1 are exact in any order.
     votes = rows.sum(axis=0)
     votes[:len(tail)] += tail
@@ -255,24 +337,30 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
 
         # Analog-domain cancellation happens before the ADC, so the
         # quantizer only spans the useful signal plus whatever residual
-        # survives: bob_pre = (clean + jam) + bob_noise - jam * (1 - a),
-        # formed in ``scratch``. After Bob's quantizer, ``scratch`` and
-        # the ``spare`` that held jam * (1 - a) are the caller's and the
-        # helper's buffers for the statistics.
-        scratch = eve_rx + bob_drawn.result()
-        spare = np.multiply(jam, 1.0 - cancel.residual_amplitude_factor)
-        np.subtract(scratch, spare, out=scratch)
-        bob_q = adc.QuantizerConfig.for_signal(p, params.bob_bits(),
-                                               params.dynamic_range_factor)
-        bob_post = adc.quantize(scratch, bob_q)
+        # survives: (clean + jam) + bob_noise - jam * (1 - a), formed and
+        # quantized block by block.
+        bob_drawn.result()  # Bob's noise is drawn
+        kept = 1.0 - cancel.residual_amplitude_factor
+        bob_q = _bob_quantizer(params)
+        bob_post = _quantize_blocks(
+            lambda block, buffer: _cancel(
+                np.add(eve_rx[block], bob_noise[block], out=buffer),
+                jam[block], kept),
+            bob_q, np.empty(n_symbols), key.n_bits)
 
-        eve_rx += eve_drawn.result()
-        eve_q = adc.QuantizerConfig.for_jammed_signal(
-            p, params.eve_bits(), w, params.dynamic_range_factor)
-        eve_stored = adc.quantize(eve_rx, eve_q)
+        # eve_rx takes Eve's noise in place, block by block, and each
+        # block of her stored record is quantized from it. The session
+        # keeps that record only less the true jamming, as eve_post.
+        eve_drawn.result()  # Eve's noise is drawn
+        eve_q = _eve_quantizer(params)
+        eve_post = _quantize_blocks(
+            lambda block, _: np.add(eve_rx[block], eve_noise[block],
+                                    out=eve_rx[block]),
+            eve_q, np.empty(n_symbols), key.n_bits, minus=jam)
 
         # Each statistic forms its operand in the scratch buffer of the
-        # thread that runs it; the post-attack ones form eve_post there.
+        # thread that runs it. The helper starts with Eve's pre-attack
+        # error, in place in eve_rx, whose buffer is then its scratch.
         ((symbol_errors, bit_errors, bits_covered), signal_power_emp,
          residual_jamming_power, bob_error_var, eve_pre_error_var,
          bob_noise_var, eve_noise_var, eve_post_error_var, eve_residual_var,
@@ -286,13 +374,11 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
              lambda out: _error_variance(eve_rx, bit_amplitudes, out),
              lambda out: _variance(bob_noise, out=out),
              lambda out: _variance(eve_noise, out=out),
-             lambda out: _error_variance(
-                 np.subtract(eve_stored, jam, out=out), bit_amplitudes, out),
-             lambda out: _residual_variance(
-                 np.subtract(eve_stored, jam, out=out), bit_amplitudes,
-                 eve_noise, out),
+             lambda out: _error_variance(eve_post, bit_amplitudes, out),
+             lambda out: _residual_variance(eve_post, bit_amplitudes,
+                                            eve_noise, out),
              lambda out: _variance(jam, out=out),
-         ], scratch, spare)
+         ], np.empty(n_symbols), eve_rx, first=4)
     stats = {
         "n_symbols": int(n_symbols),
         "signal_power_emp": signal_power_emp,
@@ -312,13 +398,12 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
         "eve_residual_var": eve_residual_var,
         "insufficient_cancellation": bool(warnings),
     }
-    for seq in (jam, bob_noise, eve_noise, bob_post, eve_stored):
+    for seq in (jam, bob_noise, eve_noise):
         seq.setflags(write=False)
 
     return SimTrace(params=params, cancel=cancel, key=key,
                     jamming_seed=jamming_seed, jam_scale=jam_scale,
                     jamming=jam, bob_noise=bob_noise, eve_noise=eve_noise,
-                    bob_post=bob_post, eve_stored=eve_stored,
                     stats=stats, warnings=tuple(warnings))
 
 
@@ -377,30 +462,32 @@ def _normal(rng: np.random.Generator, scale: float,
 
 
 def _share(pool: ThreadPoolExecutor, entries: list, scratch: np.ndarray,
-           spare: np.ndarray) -> list:
-    """Each entry's result, in list order. The caller and ``pool``'s one
-    worker each take the next entry that neither has taken yet and call
-    it with their own scratch buffer: the caller with ``scratch``, the
-    worker with ``spare``. If entries fail, the exception of the first
-    failing one in list order is raised, as a serial run would raise it."""
+           spare: np.ndarray, first: int) -> list:
+    """Each entry's result, in list order. ``pool``'s one worker starts
+    with entry ``first``, which may work in place in ``spare``; then the
+    caller and the worker each take the next entry that neither has taken
+    yet and call it with their own scratch buffer: the caller with
+    ``scratch``, the worker with ``spare``. If entries fail, the exception
+    of the first failing one in list order is raised, as a serial run
+    would raise it."""
     results = [None] * len(entries)
     errors = [None] * len(entries)
-    claims = iter(range(len(entries)))
+    claims = iter([i for i in range(len(entries)) if i != first])
     claim = threading.Lock()
 
-    def work(out: np.ndarray) -> None:
-        while True:
-            with claim:
-                i = next(claims, None)
-            if i is None:
-                return
+    def work(out: np.ndarray, i: int | None) -> None:
+        while i is not None:
             try:
                 results[i] = entries[i](out)
             except BaseException as exc:
                 errors[i] = exc
+            with claim:
+                i = next(claims, None)
 
-    helper = pool.submit(work, spare)
-    work(scratch)
+    helper = pool.submit(work, spare, first)
+    with claim:
+        i = next(claims, None)
+    work(scratch, i)
     helper.result()
     for error in errors:
         if error is not None:
@@ -444,26 +531,29 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
     baked in at reception time. A wrong-seed stream only adds power.
 
     The session has already taken the statistics of that outcome
-    (``trace.eve_post``), so for the session's own array (``jamming.symbols is trace.jamming``, as
-    :func:`true_jamming_stream` returns) the report takes its statistics
-    from ``trace.stats``. Any other stream, an equal copy included, is
-    subtracted in full by the same rule.
+    (``trace.eve_post``), so for the session's own array
+    (``jamming.symbols is trace.jamming``, as :func:`true_jamming_stream`
+    returns) the report takes its statistics from ``trace.stats``. Any
+    other stream, an equal copy included, is subtracted in full by the
+    same rule.
     """
-    if len(jamming.symbols) != len(trace.eve_stored):
+    if len(jamming.symbols) != len(trace):
         raise ValueError("jamming stream length does not match the trace")
     if jamming.symbols is trace.jamming:
         post_attack_snr = trace.stats["eve_post_attack_snr"]
         residual_var = trace.stats["eve_residual_var"]
     else:
-        # One scratch buffer: the stored record minus the stream is formed
-        # in it once for each statistic. Like the session's statistics,
-        # these never form the clean signal.
+        # One buffer, and nothing cached on the trace: the stored record
+        # minus the stream is formed in it block by block, once for each
+        # statistic. Like the session's statistics, these never form the
+        # clean signal.
         amplitudes = _encode_key(trace.key, trace.params.signal_power)
-        cleaned = np.subtract(trace.eve_stored, jamming.symbols)
+        cleaned = trace._eve_record(np.empty(len(trace)),
+                                    minus=jamming.symbols)
         post_attack_snr = _snr(trace.stats["signal_power_emp"],
                                _error_variance(cleaned, amplitudes,
                                                out=cleaned))
-        np.subtract(trace.eve_stored, jamming.symbols, out=cleaned)
+        trace._eve_record(cleaned, minus=jamming.symbols)
         residual_var = _residual_variance(cleaned, amplitudes,
                                           trace.eve_noise, out=cleaned)
     return EveAttackReport(

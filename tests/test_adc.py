@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +65,15 @@ class TestEnob:
                            r"1e-10 Hz and aperture jitter 5e-324 s are out "
                            r"of range"):
             enob_from_jitter(1e-10, 5e-324)
+
+    # 2*pi*B*jitter overflows to inf here, which would give -inf bits.
+    @pytest.mark.parametrize("bw, jitter", [(40e6, 1e300), (1e308, 1.0)])
+    def test_overflowing_product_is_named(self, bw, jitter):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"effective bits at bandwidth {bw!r} Hz and aperture jitter "
+                f"{jitter!r} s are out of range: 2*pi*bandwidth*jitter is "
+                "not a finite float") + "$"):
+            enob_from_jitter(bw, jitter)
 
 
 class TestResolutions:

@@ -614,7 +614,9 @@ class TestConfigNumbers:
         ("analyze", "system.eve_adc.aperture_jitter_s", 5e-324,
          "quantizer step at"),
         ("race", "system.bob_adc.aperture_jitter_s", 1e300,
-         "quantizer step at -inf bits"),
+         "effective bits at bandwidth 40000000.0 Hz and aperture jitter "
+         "1e+300 s are out of range: 2*pi*bandwidth*jitter is not a finite "
+         "float"),
         ("analyze", "system.jamming_bits_per_symbol", 1100,
          "jamming bits per symbol must be an integer in [0, 32], got 1100"),
         ("race", "system.jamming_bits_per_symbol", 1e16,

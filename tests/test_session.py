@@ -368,15 +368,15 @@ def _hook_statistics(monkeypatch, hook):
     share = session._share
     caller = threading.get_ident()
 
-    def hooked(pool, entries, scratch, spare):
+    def hooked(pool, entries, *args, **kwargs):
         def entry(i):
             def run(out):
                 hook(i, "caller" if threading.get_ident() == caller
                      else "helper", out)
                 return entries[i](out)
             return run
-        return share(pool, [entry(i) for i in range(len(entries))], scratch,
-                     spare)
+        return share(pool, [entry(i) for i in range(len(entries))], *args,
+                     **kwargs)
 
     monkeypatch.setattr(session, "_share", hooked)
 
@@ -435,7 +435,9 @@ class TestHelperThread:
 
     # Held in its first statistic, one thread leaves the other to run
     # all but at most that one. Each thread works in its own scratch
-    # buffer, and the statistics are the serial ones, bit for bit.
+    # buffer, and the statistics are the serial ones, bit for bit. The
+    # helper always starts with Eve's pre-attack error (statistic 4): it
+    # forms it in place in the buffer it then works in.
     @pytest.mark.parametrize("held", ["helper", "caller"])
     def test_shared_statistics_equal_the_serial_ones(self, headline_params,
                                                      monkeypatch, held):
@@ -450,6 +452,7 @@ class TestHelperThread:
         other = "caller" if held == "helper" else "helper"
         assert threads.count(held) <= 1
         assert threads.count(other) >= 9
+        assert ran[4][0] == "helper"
         buffers = {}
         for on, out in ran.values():
             assert buffers.setdefault(on, out) is out
@@ -469,7 +472,7 @@ class TestHelperThread:
         counts = []
         share = session._share
 
-        def counted(pool, entries, scratch, spare):
+        def counted(pool, entries, *args, **kwargs):
             ran = [0] * len(entries)
             counts.append(ran)
 
@@ -479,7 +482,7 @@ class TestHelperThread:
                     return entries[i](out)
                 return run
             return share(pool, [entry(i) for i in range(len(entries))],
-                         scratch, spare)
+                         *args, **kwargs)
 
         monkeypatch.setattr(session, "_share", counted)
         traces = {}
@@ -605,26 +608,10 @@ class TestHelperThread:
         assert ran[5][0] == "helper"
         assert threading.active_count() == before
 
-    def test_peak_memory_stays_at_eleven_buffers(self, headline_params):
-        # Nine trace arrays, the caller's scratch buffer and the helper's
-        # (which stands in for the temporary np.var would allocate), plus
-        # Bob's sign comparisons at a byte per symbol.
-        n = 200_000
-        point = dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
-        key = KeyMaterial.random(seed=1)
-        run_jke_session(point, CancellationModel(60.0), key, n, rng_seed=3)
-        tracemalloc.start()
-        try:
-            run_jke_session(point, CancellationModel(60.0), key, n, rng_seed=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 11.25 * 8 * n
-
 
 class TestLeanTrace:
-    """A finished trace keeps only the arrays it cannot re-form; the other
-    four are formed on first read, by the session's own arithmetic."""
+    """A finished trace keeps only the three arrays that were drawn; the
+    other six are formed on first read, by the session's own arithmetic."""
 
     N = 200_000
 
@@ -632,7 +619,7 @@ class TestLeanTrace:
     def point(self, headline_params):
         return dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
 
-    def test_trace_keeps_five_arrays_and_forms_two_on_read(self, point):
+    def test_trace_keeps_three_arrays_and_forms_two_on_read(self, point):
         buffers = 8 * self.N
         key = KeyMaterial.random(seed=1)
         run_jke_session(point, CancellationModel(60.0), key, self.N, rng_seed=3)
@@ -645,27 +632,69 @@ class TestLeanTrace:
             read, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # jamming, both noises, bob_post and eve_stored
-        assert 5 * buffers <= kept < 5.25 * buffers
+        # jamming and both noises
+        assert 3 * buffers <= kept < 3.25 * buffers
         assert 2 * buffers <= read - kept < 2.25 * buffers
-        # At the session's peak: those five, eve_rx and both threads'
-        # scratch buffers. The clean signal, bob_rx and eve_post are
-        # formed in neither.
-        assert peak < 8.25 * buffers
+        # At the session's peak: those three, eve_rx, bob_post, eve_post
+        # and the caller's scratch buffer (eve_rx is the helper's). The
+        # clean signal, bob_rx, Bob's pre-quantizer samples and
+        # eve_stored are formed in none.
+        assert peak < 7.25 * buffers
+
+    # Each is formed block by block in its one new buffer.
+    @pytest.mark.parametrize("name", ["bob_post", "eve_stored", "eve_post"])
+    def test_reading_a_quantized_array_adds_one_buffer(self, point, name):
+        buffers = 8 * self.N
+        trace = run_jke_session(point, CancellationModel(60.0),
+                                KeyMaterial.random(seed=1), self.N, rng_seed=4)
+        tracemalloc.start()
+        try:
+            getattr(trace, name)
+            read, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert buffers <= read < 1.05 * buffers
+        assert peak < 1.25 * buffers
 
     @pytest.mark.parametrize("w", [0, 14])
-    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("n", [1, 1000, 40_011])
     def test_derived_arrays_are_their_formulas(self, headline_params, w, n):
         point = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
         key = KeyMaterial.random(seed=1)
         trace = run_jke_session(point, IDEAL, key, n, rng_seed=3)
         clean = np.resize(session._encode_key(key, point.signal_power), n)
+        bob_q = adc.QuantizerConfig.for_signal(
+            point.signal_power, point.bob_bits(), point.dynamic_range_factor)
+        eve_q = adc.QuantizerConfig.for_jammed_signal(
+            point.signal_power, point.eve_bits(), w,
+            point.dynamic_range_factor)
+        eve_stored = adc.quantize((clean + trace.jamming) + trace.eve_noise,
+                                  eve_q)
         want = {"clean_signal": clean,
                 "bob_rx": (clean + trace.jamming) + trace.bob_noise,
                 "eve_rx": (clean + trace.jamming) + trace.eve_noise,
-                "eve_post": trace.eve_stored - trace.jamming}
+                "bob_post": adc.quantize(
+                    ((clean + trace.jamming) + trace.bob_noise)
+                    - trace.jamming * 1.0, bob_q),
+                "eve_stored": eve_stored,
+                "eve_post": eve_stored - trace.jamming}
         for name, formula in want.items():
             got = getattr(trace, name)
             assert got is getattr(trace, name), name
             assert got.tobytes() == formula.tobytes(), name
             assert not got.flags.writeable, name
+
+    # Bob's quantizer sees the jamming his cancellation leaves, whatever
+    # the depth; 40,011 symbols span three blocks, the last one short.
+    @pytest.mark.parametrize("depth", [0.0, 60.0, 150.0])
+    def test_bob_post_keeps_the_residual_jamming(self, headline_params, depth):
+        key = KeyMaterial.random(seed=1)
+        cancel = CancellationModel(depth)
+        trace = run_jke_session(headline_params, cancel, key, 40_011,
+                                rng_seed=3)
+        bob_q = adc.QuantizerConfig.for_signal(
+            headline_params.signal_power, headline_params.bob_bits(),
+            headline_params.dynamic_range_factor)
+        kept = 1.0 - cancel.residual_amplitude_factor
+        want = adc.quantize(trace.bob_rx - trace.jamming * kept, bob_q)
+        assert trace.bob_post.tobytes() == want.tobytes()
