@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 
 from . import kem, race
@@ -28,23 +27,25 @@ from .params import (AdcSpec, KeyMaterial, SnrPoint, SystemParams,
                      snr_to_noise_var, validate)
 
 
+_CONFIGS = Path(__file__).parent / "configs"
+
+
 def resolve_config(name_or_path) -> Path:
     """Interpret the argument as a filesystem path first, then as the name
     of a shipped example config."""
     path = Path(name_or_path)
     if path.exists():
         return path
-    shipped = resources.files("jkelab").joinpath(f"configs/{name_or_path}.json")
+    shipped = _CONFIGS / f"{name_or_path}.json"
     if shipped.is_file():
-        return Path(str(shipped))
+        return shipped
     raise FileNotFoundError(
         f"config not found: {name_or_path!r} (no such file, and no shipped "
         f"config of that name; shipped: {', '.join(shipped_config_names())})")
 
 
 def shipped_config_names() -> tuple:
-    cfg_dir = resources.files("jkelab").joinpath("configs")
-    return tuple(sorted(p.name[:-5] for p in cfg_dir.iterdir()
+    return tuple(sorted(p.name[:-5] for p in _CONFIGS.iterdir()
                         if p.name.endswith(".json")))
 
 

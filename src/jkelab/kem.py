@@ -1,9 +1,11 @@
 """Toy RSA key-encapsulation mechanism for the initial key transport.
 
-Deliberately desk-scale and textbook (unpadded modular exponentiation,
-16..2048-bit moduli) so the timing-race demos can actually factor it.
-THIS IS NOT A SECURE KEM; it exists so the protocol pipeline has a
-concrete, breakable phase 1. Pure channel experiments skip it: the
+Deliberately desk-scale and textbook: unpadded modular exponentiation,
+16..2048-bit moduli. THIS IS NOT A SECURE KEM. It gives the protocol
+pipeline a concrete phase 1: in ``simulate`` it carries the jamming seed
+K_AB from Alice to Bob, and ``stats.json`` records whether the decapsulated
+seed equals the sent one (``roundtrip_ok``). Acceptance criterion 7 checks
+that round trip on 1000 random keys. Pure channel experiments skip it: the
 simulator's ``passthrough`` mode hands the key over unchanged.
 """
 

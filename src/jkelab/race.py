@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from importlib import resources
+from pathlib import Path
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
 
@@ -127,7 +127,7 @@ def _from_core_years(entry: dict, cores: int) -> AttackerTimeModel:
 
 
 def _registry() -> dict:
-    raw = resources.files("jkelab").joinpath("data/attacker_presets.json")
+    raw = Path(__file__).parent / "data" / "attacker_presets.json"
     with raw.open("r", encoding="utf-8") as fh:
         data = json.load(fh)
     return {entry["name"]: entry for entry in data["presets"]}

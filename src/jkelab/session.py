@@ -308,8 +308,8 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
     # One helper thread draws Bob's and then Eve's noise, in submission
     # order, and then takes part of the statistics (_share). It calls
     # nothing else of the package, so every traced layer keeps running on
-    # the caller's thread. Leaving the ``with`` block joins it, so no
-    # thread outlives the session (output.write_trace_csv forks). Its
+    # the caller's thread. Leaving the ``with`` block joins it, so a
+    # session leaves no thread behind, whether it returns or raises. Its
     # buffers too are allocated on the caller's thread, like every
     # full-length buffer: glibc gives each thread its own malloc arena,
     # and one that the helper allocated would stay in the helper's arena

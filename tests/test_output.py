@@ -7,8 +7,13 @@ import dataclasses
 import math
 import os
 import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +21,9 @@ import pytest
 from jkelab import (CancellationModel, KeyMaterial, SnrThreshold,
                     SystemParams, ThresholdKind, output, run_jke_session,
                     sweep_min_bob_snr, sweep_rate_vs_snr)
-from jkelab.output import _BATCH_ROWS, _TRACE_COLUMNS
+from jkelab.output import _BATCH_ROWS
 from jkelab.secrecy import ThresholdSweepGrid
+from jkelab.trace_rows import COLUMNS as _TRACE_COLUMNS
 
 from conftest import HEADLINE_POINT
 
@@ -118,8 +124,7 @@ def edge_trace(base, n):
     return TraceColumns(**columns)
 
 
-# Enough batches that each child of two or three sends more than a 1 MB
-# pipe holds (a batch is about 160 KB), so children block on the parent.
+# Enough batches that each of two or three processes formats several.
 LONG = 24 * _BATCH_ROWS + 5
 
 
@@ -143,19 +148,21 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="the trace is formatted in one process")
+def no_fork(*args, **kwargs):
+    raise AssertionError("the trace writer forked")
 
 
 # The id is the row count, with the process count after it when not 1.
 @pytest.mark.parametrize("n, processes", [
-    pytest.param(n, processes, marks=() if processes == 1 else needs_fork,
+    pytest.param(n, processes,
                  id=str(n) if processes == 1 else f"{n}-{processes}procs")
     for processes in (1, 2, 3)
     for n in (1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1,
               2 * _BATCH_ROWS + 1, LONG)])
 def test_trace_csv_matches_reference(base_trace, n, processes, monkeypatch,
                                      tmp_path):
+    # The writer's children are spawned: a writer that forks fails here.
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     monkeypatch.setattr(output, "_trace_processes", lambda: processes)
     trace = edge_trace(base_trace, n)
     assert len(trace) == n
@@ -164,48 +171,101 @@ def test_trace_csv_matches_reference(base_trace, n, processes, monkeypatch,
     assert_no_children()
 
 
-@needs_fork
-@pytest.mark.skipif(not os.path.exists("/dev/full"),
-                    reason="needs a device whose writes fail")
-def test_trace_csv_write_failure_reaps_blocked_children(base_trace,
-                                                        monkeypatch):
+def test_trace_csv_with_a_live_thread_warns_nothing(base_trace, monkeypatch,
+                                                    tmp_path):
+    # From Python 3.12, os.fork in a process with a second thread alive
+    # warns (DeprecationWarning). Spawning the children does not.
+    monkeypatch.setattr(output, "_trace_processes", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            output.write_trace_csv(edge_trace(base_trace, 2 * _BATCH_ROWS + 1),
+                                   tmp_path / "trace.csv")
+    finally:
+        release.set()
+        thread.join()
+    assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+
+
+def test_trace_rows_check_runs_without_numpy():
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("check_trace_rows.py"))],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def child_script(monkeypatch, tmp_path, body: str):
+    """Run the writer's children as a script of ``body``, not ``trace_rows``."""
+    script = tmp_path / "child.py"
+    script.write_text(body)
+    monkeypatch.setattr(output.trace_rows, "__file__", str(script))
+
+
+def test_trace_csv_write_failure_reaps_children(base_trace, monkeypatch,
+                                                tmp_path):
     # Every write to /dev/full fails, the first batch's included, while
-    # both children are blocked on their full pipes.
+    # both children are formatting their rows.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs a device whose writes fail")
+    (tmp_path / "trace.csv").symlink_to("/dev/full")
     monkeypatch.setattr(output, "_trace_processes", lambda: 3)
     with deadline(60), pytest.raises(OSError):
-        output.write_trace_csv(edge_trace(base_trace, LONG), "/dev/full")
-    assert_no_children()
-
-
-@needs_fork
-def test_trace_csv_failed_child_raises(base_trace, monkeypatch, tmp_path):
-    parent = os.getpid()
-    batch = output._trace_batch
-
-    def fails_in_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("formatting failed")
-        return batch(*args)
-
-    monkeypatch.setattr(output, "_trace_batch", fails_in_child)
-    monkeypatch.setattr(output, "_trace_processes", lambda: 3)
-    with (deadline(60),
-          pytest.raises(OSError, match="stopped before its last row")):
         output.write_trace_csv(edge_trace(base_trace, LONG),
                                tmp_path / "trace.csv")
     assert_no_children()
 
 
-@needs_fork
+def test_trace_csv_failed_child_raises(base_trace, monkeypatch, tmp_path):
+    # The first child fails while the second still runs: it is killed.
+    first = LONG // 3
+    child_script(monkeypatch, tmp_path, f"""import sys, time
+if int(sys.argv[1]) != {first}:
+    time.sleep(600)
+raise RuntimeError("formatting failed")
+""")
+    monkeypatch.setattr(output, "_trace_processes", lambda: 3)
+    with deadline(60), pytest.raises(OSError, match="exited with status 1"):
+        output.write_trace_csv(edge_trace(base_trace, LONG),
+                               tmp_path / "trace.csv")
+    assert_no_children()
+
+
 def test_trace_csv_child_exit_status_is_checked(base_trace, monkeypatch,
                                                 tmp_path):
-    # The child sends every batch and then exits with status 7.
-    exit_ = os._exit
-    monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 7))
+    # The child writes its rows and then exits with status 7.
+    child_script(monkeypatch, tmp_path, f"""import runpy, sys
+runpy.run_path({output.trace_rows.__file__!r}, run_name="__main__")
+sys.stdout.flush()
+sys.exit(7)
+""")
     monkeypatch.setattr(output, "_trace_processes", lambda: 2)
     with deadline(60), pytest.raises(OSError, match="exited with status 7"):
         output.write_trace_csv(edge_trace(base_trace, 2 * _BATCH_ROWS + 1),
                                tmp_path / "trace.csv")
+    assert_no_children()
+
+
+def test_trace_csv_spawn_failure_reaps_started_children(base_trace,
+                                                        monkeypatch, tmp_path):
+    # The first child starts, the second cannot: the first is reaped.
+    popen = subprocess.Popen
+    started = []
+
+    def second_fails(*args, **kwargs):
+        if started:
+            raise OSError("no more processes")
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", second_fails)
+    monkeypatch.setattr(output, "_trace_processes", lambda: 3)
+    with deadline(60), pytest.raises(OSError, match="no more processes"):
+        output.write_trace_csv(edge_trace(base_trace, LONG),
+                               tmp_path / "trace.csv")
+    assert started[0].returncode is not None
     assert_no_children()
 
 

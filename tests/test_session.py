@@ -429,8 +429,7 @@ def _serial_statistics(trace) -> dict:
 class TestHelperThread:
     """The session draws its noise on one helper thread, which then
     shares the session's statistics with the caller. No thread outlives
-    a session, whether it returns or raises (``output.write_trace_csv``
-    forks right after it), and every layer the benchmark traces runs on
+    a session, whether it returns or raises, and every layer the benchmark traces runs on
     the caller's thread."""
 
     # Held in its first statistic, one thread leaves the other to run
