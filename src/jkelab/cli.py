@@ -159,11 +159,25 @@ def cmd_simulate(args) -> int:
     if attack is not None:
         stats["storage_attack"] = attack.to_dict()
     _check_finite(stats)
-    # Only a session that passed every check leaves an output directory.
-    out = _outdir(args)
-    output.write_json(out / "config.json", config)
-    output.write_json(out / "stats.json", stats)
-    output.write_trace_csv(trace, out / "trace.csv")
+    # Only a session that passed every check leaves an output directory,
+    # and only one whose files were all written: a failed write removes
+    # the files this run wrote and the directories it made. The trace
+    # writer leaves nothing of a failed trace.csv.
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for name, payload in (("config.json", config), ("stats.json", stats)):
+            written.append(out / name)
+            output.write_json(out / name, payload)
+        output.write_trace_csv(trace, out / "trace.csv")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
     print(f"simulated {sim['n_symbols']} symbols (seed {seed}) -> {out}")
     return EXIT_OK
 

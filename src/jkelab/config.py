@@ -154,9 +154,11 @@ def _number_list(value, context: str) -> list:
 REQUIRED = object()  # the default of a key that must be given
 
 # Size budgets, checked before anything of that size is allocated. A
-# sweep grid peaks near 0.7 KB per cell while its JSON is written, and a
-# session with its storage attack at about 53 B per symbol (w = 20: 90 MB
-# at 10^6 symbols, 197 MB at 3*10^6): about 0.6 GB at each budget.
+# sweep grid peaks near 0.7 KB per cell while its JSON is written: about
+# 0.7 GB at its budget. A session with its storage attack runs in constant
+# memory (42 MB RSS at w = 20 from 10^6 to 10^8 symbols), but simulate
+# always writes trace.csv, whose nine columns take 72 B per symbol: 0.7 GB
+# at 10^7. The symbol budget stays there until the trace is optional.
 MAX_SWEEP_CELLS = 10 ** 6
 MAX_SYMBOLS = 10 ** 7
 

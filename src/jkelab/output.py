@@ -242,8 +242,10 @@ def write_trace_csv(trace: SimTrace, path) -> Path:
     both unlinked and in the output's directory. This process then appends
     the children's rows in order, so the bytes do not depend on N. A child
     that exits non-zero is an ``OSError``. Every child has exited before
-    this returns or raises. The trace's derived columns are formed here,
-    and the row count is the columns'.
+    this returns or raises. The rows go to ``.<name>.<pid>.partial`` beside
+    ``path``, which becomes ``path`` only once every child has exited 0; a
+    failed write removes it and leaves ``path`` as it was. The trace's
+    derived columns are formed here, and the row count is the columns'.
     """
     # Only here, so importing the CLI loads no more modules.
     import shutil
@@ -255,29 +257,38 @@ def write_trace_csv(trace: SimTrace, path) -> Path:
     procs = max(1, min(_trace_processes(), -(-n // _BATCH_ROWS)))
     bounds = [n * k // procs for k in range(procs + 1)]
     path = Path(path)
-    with ExitStack() as stack:
-        fh = stack.enter_context(path.open("wb"))
-        children = []  # (child, the file it writes its rows to), in row order
-        for start, stop in zip(bounds[1:], bounds[2:]):
-            rows = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-            with tempfile.TemporaryFile(dir=path.parent) as given:
-                for col in columns:
-                    given.write(col[start:stop])
-                given.seek(0)
-                child = subprocess.Popen(
-                    [sys.executable, "-I", "-S", trace_rows.__file__,
-                     str(start), str(stop - start)], stdin=given, stdout=rows)
-            # The stack runs its callbacks last first: leaving it kills each
-            # child and then waits on it, whether this returns or raises.
-            stack.callback(child.wait)
-            stack.callback(child.kill)
-            children.append((child, rows))
-        fh.write(trace_rows.HEADER)
-        trace_rows.write_rows(fh, [col[:bounds[1]] for col in columns], 0)
-        for child, rows in children:
-            if child.wait():
-                raise OSError(f"a trace writer process exited with status "
-                              f"{child.returncode}")
-            rows.seek(0)
-            shutil.copyfileobj(rows, fh)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with ExitStack() as stack:
+            fh = stack.enter_context(partial.open("wb"))
+            children = []  # (child, the file it writes its rows to), in order
+            for start, stop in zip(bounds[1:], bounds[2:]):
+                rows = stack.enter_context(
+                    tempfile.TemporaryFile(dir=path.parent))
+                with tempfile.TemporaryFile(dir=path.parent) as given:
+                    for col in columns:
+                        given.write(col[start:stop])
+                    given.seek(0)
+                    child = subprocess.Popen(
+                        [sys.executable, "-I", "-S", trace_rows.__file__,
+                         str(start), str(stop - start)], stdin=given,
+                        stdout=rows)
+                # The stack runs its callbacks last first: leaving it kills
+                # each child and then waits on it, whether this returns or
+                # raises.
+                stack.callback(child.wait)
+                stack.callback(child.kill)
+                children.append((child, rows))
+            fh.write(trace_rows.HEADER)
+            trace_rows.write_rows(fh, [col[:bounds[1]] for col in columns], 0)
+            for child, rows in children:
+                if child.wait():
+                    raise OSError(f"a trace writer process exited with "
+                                  f"status {child.returncode}")
+                rows.seek(0)
+                shutil.copyfileobj(rows, fh)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path

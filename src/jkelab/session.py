@@ -8,6 +8,14 @@ by its cancellation depth and quantizes at its own resolution, and the
 eavesdropper quantizes the raw jammed signal at the widened dynamic range
 and stores it.
 
+A session is one pass, on the calling thread, over chunks of
+``jamming.CHUNK_SYMBOLS`` symbols, so its memory does not grow with its
+length. Each channel's noise comes from its own child of the session's
+seed (``SeedSequence.spawn``), drawn chunk after chunk; one full draw
+gives the same values. Every variance is merged from the chunks' (n, mean,
+M2) by Chan, Golub & LeVeque (1979); the error counts and key votes are
+exact sums. A trace keeps what regenerates the session, not its arrays.
+
 The non-storage assumption is structural: the storage attack only ever
 sees the quantized record, never the pre-quantization waveform.
 """
@@ -15,14 +23,12 @@ sees the quantized record, never the pre-quantization waveform.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import adc
+from . import adc, jamming
 from .jamming import JammingStream, jamming_stream
 from .params import KeyMaterial, SystemParams, check_symbol_count, validate
 
@@ -32,6 +38,14 @@ from .params import KeyMaterial, SystemParams, check_symbol_count, validate
 WARN_MARGIN_BITS = 2.0
 
 INSUFFICIENT_CANCELLATION = "insufficient_cancellation"
+
+# The children of a session's seed (SeedSequence.spawn): the jamming seed
+# when none is given, then Bob's and Eve's channel noise.
+_SEED, _BOB_NOISE, _EVE_NOISE = range(3)
+
+# A trace's sequences, each a read-only array formed on first read.
+_SEQUENCES = ("clean_signal", "jamming", "bob_noise", "eve_noise", "bob_rx",
+              "eve_rx", "bob_post", "eve_stored", "eve_post")
 
 
 def cancellation_bits(depth_db: float) -> float:
@@ -64,24 +78,43 @@ class CancellationModel:
         return 10.0 ** (-self.depth_db / 20.0)
 
 
+def _generator(rng_seed, child: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(rng_seed, spawn_key=(child,)))
+
+
+def _column(name: str) -> cached_property:
+    """A trace's sequence ``name``: formed a chunk at a time into one new
+    array on first read, then cached, read-only."""
+    def form(self) -> np.ndarray:
+        out = np.empty(len(self))
+        for chunk in self._chunks(bob=name.startswith("bob"),
+                                  eve=name.startswith("eve")):
+            out[chunk.start:chunk.start + len(chunk)] = getattr(chunk, name)
+        out.setflags(write=False)
+        return out
+    return cached_property(form)
+
+
 @dataclass(frozen=True, eq=False)
 class SimTrace:
     """Per-sample record of one session plus derived statistics.
 
-    The trace stores only what was drawn: ``jamming`` and both channel
-    noises. The other six sequences are formed on first read, by the
-    session's own operations, and then cached; forming one keeps no other
-    array alive. They satisfy, exactly:
+    The trace keeps what regenerates the session (its parameters and
+    seeds), its statistics and its warnings. Each of its nine sequences is
+    formed on first read, a chunk at a time by the session's own
+    operations, and then cached, read-only. They satisfy, exactly:
     ``clean_signal`` is the key's 2-PAM amplitudes repeated to the block
-    length, ``bob_rx = clean_signal + jamming + bob_noise``,
-    ``eve_rx = clean_signal + jamming + eve_noise``, ``bob_post`` is Bob's
+    length; ``jamming`` is ``true_jamming_stream(trace).symbols`` (zeros
+    without jamming); ``bob_noise`` and ``eve_noise`` are the normal draws
+    of children 1 and 2 of ``SeedSequence(rng_seed)``;
+    ``bob_rx = (clean_signal + jamming) + bob_noise``;
+    ``eve_rx = (clean_signal + jamming) + eve_noise``; ``bob_post`` is Bob's
     quantizer applied to ``bob_rx - jamming * (1 - a)`` for the residual
-    amplitude factor ``a`` of his cancellation, ``eve_stored`` is Eve's
-    quantizer applied to ``eve_rx``, and ``eve_post`` is the stored record
-    minus the true jamming (the best-case storage attack). The two
-    quantized sequences and ``eve_post`` are formed block by block, so a
-    full-length ``bob_rx`` or ``eve_rx`` is not. ``stats`` is recomputable
-    from the sequences bit-for-bit. Every sequence is read-only.
+    amplitude factor ``a`` of his cancellation; ``eve_stored`` is Eve's
+    quantizer applied to ``eve_rx``; and ``eve_post = eve_stored -
+    jamming`` (the best-case storage attack). ``stats`` comes from the
+    same chunks.
     """
 
     params: SystemParams
@@ -89,72 +122,101 @@ class SimTrace:
     key: KeyMaterial
     jamming_seed: KeyMaterial
     jam_scale: float
-    jamming: np.ndarray
-    bob_noise: np.ndarray
-    eve_noise: np.ndarray
+    rng_seed: int
+    n_symbols: int
     stats: dict
     warnings: tuple
 
+    clean_signal = _column("clean_signal")
+    jamming = _column("jamming")
+    bob_noise = _column("bob_noise")
+    eve_noise = _column("eve_noise")
+    bob_rx = _column("bob_rx")
+    eve_rx = _column("eve_rx")
+    bob_post = _column("bob_post")
+    eve_stored = _column("eve_stored")
+    eve_post = _column("eve_post")
+
     def __len__(self) -> int:
-        return len(self.jamming)
+        return self.n_symbols
+
+    def _chunks(self, bob: bool = False, eve: bool = False):
+        """Each chunk of the session in order, with Bob's and Eve's noise
+        drawn if asked for. A chunk takes the sequences this trace has
+        formed already as slices of them; a noise among them is not drawn."""
+        params = self.params
+        formed = {name: self.__dict__[name] for name in _SEQUENCES
+                  if name in self.__dict__}
+        amplitudes = _encode_key(self.key, params.signal_power)
+        stream = _own_stream(self) if params.jamming_bits_per_symbol else None
+        draws = [(name, _generator(self.rng_seed, child), math.sqrt(var))
+                 for name, child, var, wanted in (
+                     ("bob_noise", _BOB_NOISE, params.bob_noise_var, bob),
+                     ("eve_noise", _EVE_NOISE, params.eve_noise_var, eve))
+                 if wanted and name not in formed]
+        step = jamming.CHUNK_SYMBOLS
+        for index, start in enumerate(range(0, len(self), step)):
+            size = min(step, len(self) - start)
+            chunk = _Chunk(self, index, start, size, amplitudes, stream)
+            for name, seq in formed.items():
+                chunk.__dict__[name] = seq[start:start + size]
+            for name, rng, sd in draws:
+                chunk.__dict__[name] = rng.normal(0.0, sd, size)
+            yield chunk
+
+
+class _Chunk:
+    """Chunk ``index`` of a trace's session: ``size`` symbols from
+    ``start``. ``SimTrace._chunks`` gives it its channel noises, drawn in
+    order; every other sequence is formed on first read, as ``SimTrace``
+    states, unless it too is given."""
+
+    def __init__(self, trace: SimTrace, index: int, start: int, size: int,
+                 amplitudes: np.ndarray, stream: JammingStream | None):
+        self.trace, self.index, self.start, self.size = trace, index, start, size
+        self.amplitudes, self.stream = amplitudes, stream
+
+    def __len__(self) -> int:
+        return self.size
 
     @cached_property
     def clean_signal(self) -> np.ndarray:
-        return _read_only(_repeat_key(
-            _encode_key(self.key, self.params.signal_power),
-            np.empty(len(self))))
+        return _repeat_key(self.amplitudes, self.start, np.empty(self.size))
+
+    @cached_property
+    def jamming(self) -> np.ndarray:
+        if self.stream is None:
+            return np.zeros(self.size)
+        return self.stream.chunk(self.index)
+
+    @cached_property
+    def sent(self) -> np.ndarray:
+        return self.clean_signal + self.jamming
 
     @cached_property
     def bob_rx(self) -> np.ndarray:
-        return _read_only(self._received(self.bob_noise, slice(None),
-                                         np.empty(len(self))))
+        return self.sent + self.bob_noise
 
     @cached_property
     def eve_rx(self) -> np.ndarray:
-        return _read_only(self._received(self.eve_noise, slice(None),
-                                         np.empty(len(self))))
+        return self.sent + self.eve_noise
 
     @cached_property
     def bob_post(self) -> np.ndarray:
-        kept = 1.0 - self.cancel.residual_amplitude_factor
-        return _read_only(_quantize_blocks(
-            lambda block, buffer: _cancel(
-                self._received(self.bob_noise, block, buffer),
-                self.jamming[block], kept),
-            _bob_quantizer(self.params), np.empty(len(self)),
-            self.key.n_bits))
+        # Analog-domain cancellation happens before the ADC, so the
+        # quantizer only spans the useful signal plus whatever residual
+        # survives.
+        kept = 1.0 - self.trace.cancel.residual_amplitude_factor
+        return adc.quantize(self.bob_rx - self.jamming * kept,
+                            _bob_quantizer(self.trace.params))
 
     @cached_property
     def eve_stored(self) -> np.ndarray:
-        return _read_only(self._eve_record(np.empty(len(self))))
+        return adc.quantize(self.eve_rx, _eve_quantizer(self.trace.params))
 
     @cached_property
     def eve_post(self) -> np.ndarray:
-        return _read_only(self._eve_record(np.empty(len(self)),
-                                           minus=self.jamming))
-
-    def _received(self, noise: np.ndarray, block: slice,
-                  out: np.ndarray) -> np.ndarray:
-        """The received samples at the positions ``block``, which start on
-        key bit 0: clean + jam, then + noise, in ``out``."""
-        rx = _repeat_key(_encode_key(self.key, self.params.signal_power), out)
-        rx += self.jamming[block]
-        rx += noise[block]
-        return rx
-
-    def _eve_record(self, out: np.ndarray,
-                    minus: np.ndarray | None = None) -> np.ndarray:
-        """Eve's stored record, less ``minus`` if given, formed block by
-        block in ``out``."""
-        return _quantize_blocks(
-            lambda block, buffer: self._received(self.eve_noise, block,
-                                                 buffer),
-            _eve_quantizer(self.params), out, self.key.n_bits, minus)
-
-
-def _read_only(seq: np.ndarray) -> np.ndarray:
-    seq.setflags(write=False)
-    return seq
+        return self.eve_stored - self.jamming
 
 
 def default_jam_scale(params: SystemParams) -> float:
@@ -174,68 +236,34 @@ def _encode_key(key: KeyMaterial, signal_power: float) -> np.ndarray:
 
 
 def _rows(seq: np.ndarray, n_bits: int) -> tuple:
-    """``seq`` as rows of ``n_bits`` symbols, so that column j holds the
-    symbols of key bit j, and the partial last row."""
+    """``seq`` as rows of ``n_bits`` symbols and the partial last row."""
     full = len(seq) - len(seq) % n_bits
     return seq[:full].reshape(-1, n_bits), seq[full:]
 
 
-def _repeat_key(amplitudes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.resize(amplitudes, len(out))``, the clean signal, written into
-    ``out``."""
-    rows, tail = _rows(out, len(amplitudes))
+def _repeat_key(amplitudes: np.ndarray, start: int,
+                out: np.ndarray) -> np.ndarray:
+    """The clean signal at symbols ``start`` up to ``start + len(out)``,
+    in ``out``: symbol j carries ``amplitudes[j % len(amplitudes)]``."""
+    phase = start % len(amplitudes)
+    head = out[:len(amplitudes) - phase]
+    head[...] = amplitudes[phase:phase + len(head)]
+    rows, tail = _rows(out[len(head):], len(amplitudes))
     rows[...] = amplitudes
     tail[...] = amplitudes[:len(tail)]
     return out
 
 
-def _subtract_key(observed: np.ndarray, amplitudes: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """``observed`` minus the clean signal, element for element, in ``out``
-    (which may be ``observed`` itself), through the rows of both, so the
-    clean signal itself is not formed."""
-    for seq, result in zip(_rows(observed, len(amplitudes)),
-                           _rows(out, len(amplitudes))):
-        np.subtract(seq, amplitudes[:seq.shape[-1]], out=result)
-    return out
-
-
-# Symbols per block of the passes that run a block at a time: forming and
-# quantizing a receiver's samples, and comparing Bob's signs. A block
-# needs only block-sized temporaries, and its passes stay in cache; on a
-# 2-vCPU Xeon VM, blocks of 2^13 symbols were slower than whole-array
-# passes and blocks of 2^14 as fast. A quantizer's block is a whole
-# number of key lengths, so that each one starts on key bit 0.
-_BLOCK_SYMBOLS = 1 << 14
-
-
-def _quantize_blocks(form, q: adc.QuantizerConfig, out: np.ndarray,
-                     n_bits: int,
-                     minus: np.ndarray | None = None) -> np.ndarray:
-    """``adc.quantize`` of the samples that ``form(block, buffer)`` returns
-    for each block of positions (a slice that starts on key bit 0 of a
-    key of ``n_bits``), less ``minus`` there if given, written there in
-    ``out``. ``buffer`` is one block-sized array that every block may form
-    its samples in. Quantizing is element-wise, so the blocks equal one
-    call on the whole sequence, bit for bit."""
-    size = max(1, _BLOCK_SYMBOLS // n_bits) * n_bits
-    buffer = np.empty(min(size, len(out)))
-    for start in range(0, len(out), size):
-        block = slice(start, min(start + size, len(out)))
-        samples = form(block, buffer[:block.stop - start])
-        if minus is None:
-            out[block] = adc.quantize(samples, q)
-        else:
-            np.subtract(adc.quantize(samples, q), minus[block],
-                        out=out[block])
-    return out
-
-
-def _cancel(rx: np.ndarray, jam: np.ndarray, kept: float) -> np.ndarray:
-    """Bob's analog-domain cancellation before his ADC, in ``rx``: the
-    received samples less the ``kept`` share of the jamming that his
-    cancellation removes."""
-    return np.subtract(rx, np.multiply(jam, kept), out=rx)
+def _fold(values: np.ndarray, start: int, totals: np.ndarray) -> None:
+    """Add the value of each symbol from ``start`` on to the total of its
+    key bit: ``values[j]`` to ``totals[(start + j) % len(totals)]``."""
+    phase = start % len(totals)
+    head = values[:len(totals) - phase]
+    totals[phase:phase + len(head)] += head
+    rows, tail = _rows(values[len(head):], len(totals))
+    if len(rows):
+        totals += rows.sum(axis=0)
+    totals[:len(tail)] += tail
 
 
 def _bob_quantizer(params: SystemParams) -> adc.QuantizerConfig:
@@ -249,31 +277,45 @@ def _eve_quantizer(params: SystemParams) -> adc.QuantizerConfig:
         params.jamming_bits_per_symbol, params.dynamic_range_factor)
 
 
-def _bob_errors(key: KeyMaterial, bit_amplitudes: np.ndarray,
-                bob_post: np.ndarray, out: np.ndarray) -> tuple:
-    """Symbol sign errors, then the majority vote per key bit over its
-    repetition positions: returns (symbol error count, key bit error
-    count, bits covered by at least one symbol). The signs of
-    ``bob_post`` go to ``out``; they are compared with the key's a block
-    of rows at a time, in one small boolean buffer."""
-    signs = np.sign(bob_post, out=out)
-    rows, tail = _rows(signs, key.n_bits)
-    bit_signs = np.sign(bit_amplitudes)
-    symbol_errors = np.count_nonzero(tail != bit_signs[:len(tail)])
-    step = max(1, _BLOCK_SYMBOLS // key.n_bits)
-    unequal = np.empty((min(step, len(rows)), key.n_bits), dtype=bool)
-    for start in range(0, len(rows), step):
-        part = rows[start:start + step]
-        symbol_errors += np.count_nonzero(
-            np.not_equal(part, bit_signs, out=unequal[:len(part)]))
-    # Sums of -1/0/+1 are exact in any order.
-    votes = rows.sum(axis=0)
-    votes[:len(tail)] += tail
-    # Symbol j carries bit j mod n_bits, so exactly the first bits are covered.
-    covered = min(len(bob_post), key.n_bits)
-    decided = votes[:covered] > 0
-    bit_errors = int(np.sum(decided != (key.bit_array()[:covered] == 1)))
-    return int(symbol_errors), bit_errors, covered
+def _moments(x: np.ndarray, out: np.ndarray) -> tuple:
+    """The mean of ``x`` and its sum of squared deviations (M2), by
+    ``np.var``'s own steps, so ``M2 / len(x)`` is ``np.var(x)`` bit for
+    bit. The deviations are formed in ``out``, which may be ``x``."""
+    mean = np.add.reduce(x) / len(x)
+    deviations = np.subtract(x, mean, out=out)
+    return mean, np.add.reduce(np.square(deviations, out=deviations))
+
+
+class _Moments:
+    """Count, means and M2 of several series, taken in a chunk at a time
+    and merged by Chan, Golub & LeVeque (1979)."""
+
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, None, None
+
+    def add(self, m: int, parts: list) -> None:
+        """Take in each series' next ``m`` values as their ``_moments``."""
+        mean, m2 = np.array(parts).T
+        if self.n:
+            n = self.n + m
+            delta = mean - self.mean
+            mean = self.mean + delta * (m / n)
+            m2 = self.m2 + m2 + delta * delta * (self.n * m / n)
+        self.n += m
+        self.mean, self.m2 = mean, m2
+
+    def variances(self) -> list:
+        return (self.m2 / self.n).tolist()
+
+
+def _attack_moments(chunk: _Chunk, post: np.ndarray, x: np.ndarray,
+                    y: np.ndarray) -> list:
+    """The moments of Eve's error once the attack left ``post``, ``post -
+    clean``, and of what that error holds beyond her channel noise,
+    formed in the chunk-sized buffers ``x`` and ``y``."""
+    error = np.subtract(post, chunk.clean_signal, out=x)
+    residual = np.subtract(error, chunk.eve_noise, out=y)
+    return [_moments(error, error), _moments(residual, residual)]
 
 
 def run_jke_session(params: SystemParams, cancel: CancellationModel,
@@ -288,15 +330,13 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
     """
     validate(params)
     check_symbol_count(n_symbols)
-
-    p = params.signal_power
     w = params.jamming_bits_per_symbol
-    rng = np.random.default_rng(rng_seed)
-
     if jamming_seed is None:
-        jamming_seed = KeyMaterial(rng.bytes(32))
+        jamming_seed = KeyMaterial(_generator(rng_seed, _SEED).bytes(32))
     if jam_scale is None:
         jam_scale = default_jam_scale(params)
+    if w > 0:
+        jamming_stream(jamming_seed, w, n_symbols, jam_scale)  # checks them
 
     warnings = []
     if w > 0 and cancel.residual_bits < w + WARN_MARGIN_BITS:
@@ -304,136 +344,64 @@ def run_jke_session(params: SystemParams, cancel: CancellationModel,
             f"{INSUFFICIENT_CANCELLATION}: Bob cannot cancel a {w}-bit jammer "
             f"with {cancel.depth_db:g} dB depth "
             f"({cancel.residual_bits:.2f} bits < w + {WARN_MARGIN_BITS:g})")
+    trace = SimTrace(params=params, cancel=cancel, key=key,
+                     jamming_seed=jamming_seed, jam_scale=jam_scale,
+                     rng_seed=rng_seed, n_symbols=n_symbols, stats={},
+                     warnings=tuple(warnings))
+    trace.stats.update(_statistics(trace))
+    return trace
 
-    # One helper thread draws Bob's and then Eve's noise, in submission
-    # order, and then takes part of the statistics (_share). It calls
-    # nothing else of the package, so every traced layer keeps running on
-    # the caller's thread. Leaving the ``with`` block joins it, so a
-    # session leaves no thread behind, whether it returns or raises. Its
-    # buffers too are allocated on the caller's thread, like every
-    # full-length buffer: glibc gives each thread its own malloc arena,
-    # and one that the helper allocated would stay in the helper's arena
-    # once freed (peak RSS rose by about 20 MB at 3e6 symbols).
-    bob_noise, eve_noise = np.empty(n_symbols), np.empty(n_symbols)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="jkelab-session",
-                            initializer=_use_errstate,
-                            initargs=(np.geterr(), np.geterrcall())) as pool:
-        bob_drawn = pool.submit(_normal, rng, math.sqrt(params.bob_noise_var),
-                                bob_noise)
-        eve_drawn = pool.submit(_normal, rng, math.sqrt(params.eve_noise_var),
-                                eve_noise)
-        bit_amplitudes = _encode_key(key, p)
-        if w > 0:
-            jam = jamming_stream(jamming_seed, w, n_symbols, jam_scale).symbols
-        else:
-            jam = np.zeros(n_symbols)
 
-        # clean + jam is formed once, for both receivers, in eve_rx's
-        # buffer. Bob's chain runs while Eve's noise is still being drawn.
-        # The clean signal is formed only there and for its power: the
-        # errors subtract the key's amplitudes row by row (_subtract_key).
-        eve_rx = _repeat_key(bit_amplitudes, np.empty(n_symbols))
-        eve_rx += jam
-
-        # Analog-domain cancellation happens before the ADC, so the
-        # quantizer only spans the useful signal plus whatever residual
-        # survives: (clean + jam) + bob_noise - jam * (1 - a), formed and
-        # quantized block by block.
-        bob_drawn.result()  # Bob's noise is drawn
-        kept = 1.0 - cancel.residual_amplitude_factor
-        bob_q = _bob_quantizer(params)
-        bob_post = _quantize_blocks(
-            lambda block, buffer: _cancel(
-                np.add(eve_rx[block], bob_noise[block], out=buffer),
-                jam[block], kept),
-            bob_q, np.empty(n_symbols), key.n_bits)
-
-        # eve_rx takes Eve's noise in place, block by block, and each
-        # block of her stored record is quantized from it. The session
-        # keeps that record only less the true jamming, as eve_post.
-        eve_drawn.result()  # Eve's noise is drawn
-        eve_q = _eve_quantizer(params)
-        eve_post = _quantize_blocks(
-            lambda block, _: np.add(eve_rx[block], eve_noise[block],
-                                    out=eve_rx[block]),
-            eve_q, np.empty(n_symbols), key.n_bits, minus=jam)
-
-        # Each statistic forms its operand in the scratch buffer of the
-        # thread that runs it. The helper starts with Eve's pre-attack
-        # error, in place in eve_rx, whose buffer is then its scratch.
-        ((symbol_errors, bit_errors, bits_covered), signal_power_emp,
-         residual_jamming_power, bob_error_var, eve_pre_error_var,
-         bob_noise_var, eve_noise_var, eve_post_error_var, eve_residual_var,
-         jamming_power_emp) = _share(pool, [
-             lambda out: _bob_errors(key, bit_amplitudes, bob_post, out),
-             lambda out: float(np.mean(np.square(
-                 _repeat_key(bit_amplitudes, out), out=out))),
-             lambda out: _variance(np.multiply(
-                 jam, cancel.residual_amplitude_factor, out=out), out=out),
-             lambda out: _error_variance(bob_post, bit_amplitudes, out),
-             lambda out: _error_variance(eve_rx, bit_amplitudes, out),
-             lambda out: _variance(bob_noise, out=out),
-             lambda out: _variance(eve_noise, out=out),
-             lambda out: _error_variance(eve_post, bit_amplitudes, out),
-             lambda out: _residual_variance(eve_post, bit_amplitudes,
-                                            eve_noise, out),
-             lambda out: _variance(jam, out=out),
-         ], np.empty(n_symbols), eve_rx, first=4)
-    stats = {
-        "n_symbols": int(n_symbols),
-        "signal_power_emp": signal_power_emp,
-        "jamming_power_emp": jamming_power_emp,
-        "residual_jamming_power": residual_jamming_power,
+def _statistics(trace: SimTrace) -> dict:
+    """The session's statistics, from one pass over its chunks: seven
+    variances merged from each chunk's moments, and Bob's sign errors and
+    key votes summed (sums of -1/0/+1, so exact in any order)."""
+    n, key = len(trace), trace.key
+    moments = _Moments()
+    votes = np.zeros(key.n_bits)
+    symbol_errors = 0
+    scratch = np.empty((2, min(n, jamming.CHUNK_SYMBOLS)))
+    for chunk in trace._chunks(bob=True, eve=True):
+        x, y = scratch[:, :len(chunk)]
+        clean = chunk.clean_signal
+        moments.add(len(chunk), [
+            _moments(chunk.jamming, x), _moments(chunk.bob_noise, x),
+            _moments(chunk.eve_noise, x),
+            _moments(np.subtract(chunk.bob_post, clean, out=x), x),
+            _moments(np.subtract(chunk.eve_rx, clean, out=x), x),
+            *_attack_moments(chunk, chunk.eve_post, x, y)])
+        signs = np.sign(chunk.bob_post, out=x)
+        symbol_errors += int(np.count_nonzero(signs != np.sign(clean)))
+        _fold(signs, chunk.start, votes)
+    (jamming_power, bob_noise_var, eve_noise_var, bob_error_var,
+     eve_pre_error_var, eve_post_error_var,
+     eve_residual_var) = moments.variances()
+    # Symbol j carries bit j mod n_bits, so exactly the first bits are covered.
+    covered = min(n, key.n_bits)
+    bit_errors = int(np.count_nonzero(
+        (votes[:covered] > 0) != (key.bit_array()[:covered] == 1)))
+    # Every symbol's power is the same, sqrt(P)^2.
+    signal_power = math.sqrt(trace.params.signal_power) ** 2
+    a = trace.cancel.residual_amplitude_factor
+    return {
+        "n_symbols": int(n),
+        "signal_power_emp": signal_power,
+        "jamming_power_emp": jamming_power,
+        "residual_jamming_power": a * (a * jamming_power),
         "bob_noise_var_emp": bob_noise_var,
         "eve_noise_var_emp": eve_noise_var,
-        "delta_b": bob_q.step,
-        "delta_e": eve_q.step,
+        "delta_b": _bob_quantizer(trace.params).step,
+        "delta_e": _eve_quantizer(trace.params).step,
         "bob_symbol_errors": symbol_errors,
-        "bob_symbol_error_rate": symbol_errors / n_symbols,
+        "bob_symbol_error_rate": symbol_errors / n,
         "bob_key_bit_errors": bit_errors,
-        "bob_key_bits_covered": bits_covered,
-        "bob_effective_snr": _snr(signal_power_emp, bob_error_var),
-        "eve_pre_attack_snr": _snr(signal_power_emp, eve_pre_error_var),
-        "eve_post_attack_snr": _snr(signal_power_emp, eve_post_error_var),
+        "bob_key_bits_covered": covered,
+        "bob_effective_snr": _snr(signal_power, bob_error_var),
+        "eve_pre_attack_snr": _snr(signal_power, eve_pre_error_var),
+        "eve_post_attack_snr": _snr(signal_power, eve_post_error_var),
         "eve_residual_var": eve_residual_var,
-        "insufficient_cancellation": bool(warnings),
+        "insufficient_cancellation": bool(trace.warnings),
     }
-    for seq in (jam, bob_noise, eve_noise):
-        seq.setflags(write=False)
-
-    return SimTrace(params=params, cancel=cancel, key=key,
-                    jamming_seed=jamming_seed, jam_scale=jam_scale,
-                    jamming=jam, bob_noise=bob_noise, eve_noise=eve_noise,
-                    stats=stats, warnings=tuple(warnings))
-
-
-def _variance(x: np.ndarray, out: np.ndarray) -> float:
-    """``float(np.var(x))`` bit for bit, for a 1-D float64 ``x``, by
-    NumPy's own steps, but with the squared deviations formed in ``out``
-    (which may be ``x`` itself) instead of a new full-length array."""
-    n = len(x)
-    mean = np.add.reduce(x, keepdims=True)
-    np.true_divide(mean, n, out=mean)
-    np.subtract(x, mean, out=out)
-    np.square(out, out=out)
-    return float(np.add.reduce(out) / n)
-
-
-def _error_variance(observed: np.ndarray, amplitudes: np.ndarray,
-                    out: np.ndarray) -> float:
-    """Variance of the error ``observed - clean``, for the clean signal of
-    the key's ``amplitudes``, formed in ``out`` (which may be ``observed``
-    itself)."""
-    return _variance(_subtract_key(observed, amplitudes, out), out=out)
-
-
-def _residual_variance(observed: np.ndarray, amplitudes: np.ndarray,
-                       noise: np.ndarray, out: np.ndarray) -> float:
-    """Variance of what the error ``observed - clean`` holds beyond the
-    channel ``noise``, formed in ``out`` (which may be ``observed``
-    itself)."""
-    error = _subtract_key(observed, amplitudes, out)
-    return _variance(np.subtract(error, noise, out=error), out=error)
 
 
 def _snr(signal_power_emp: float, err_var: float) -> float:
@@ -444,69 +412,19 @@ def _snr(signal_power_emp: float, err_var: float) -> float:
     return signal_power_emp / err_var
 
 
-def _use_errstate(err: dict, call) -> None:
-    """Give the helper thread the caller's NumPy floating-point error
-    handling (the CLI raises on overflow): a new thread starts with
-    NumPy's defaults."""
-    np.seterr(**err)
-    np.seterrcall(call)
-
-
-def _normal(rng: np.random.Generator, scale: float,
-            out: np.ndarray) -> np.ndarray:
-    """``rng.normal(0.0, scale, len(out))`` bit for bit, which forms
-    0.0 + scale * z from the same stream of z, drawn into ``out``."""
-    rng.standard_normal(out=out)
-    np.multiply(out, scale, out=out)
-    return np.add(out, 0.0, out=out)
-
-
-def _share(pool: ThreadPoolExecutor, entries: list, scratch: np.ndarray,
-           spare: np.ndarray, first: int) -> list:
-    """Each entry's result, in list order. ``pool``'s one worker starts
-    with entry ``first``, which may work in place in ``spare``; then the
-    caller and the worker each take the next entry that neither has taken
-    yet and call it with their own scratch buffer: the caller with
-    ``scratch``, the worker with ``spare``. If entries fail, the exception
-    of the first failing one in list order is raised, as a serial run
-    would raise it."""
-    results = [None] * len(entries)
-    errors = [None] * len(entries)
-    claims = iter([i for i in range(len(entries)) if i != first])
-    claim = threading.Lock()
-
-    def work(out: np.ndarray, i: int | None) -> None:
-        while i is not None:
-            try:
-                results[i] = entries[i](out)
-            except BaseException as exc:
-                errors[i] = exc
-            with claim:
-                i = next(claims, None)
-
-    helper = pool.submit(work, spare, first)
-    with claim:
-        i = next(claims, None)
-    work(scratch, i)
-    helper.result()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+def _own_stream(trace: SimTrace) -> JammingStream:
+    return JammingStream(seed=trace.jamming_seed,
+                         bits_per_symbol=trace.params.jamming_bits_per_symbol,
+                         jam_scale=trace.jam_scale, n_symbols=len(trace))
 
 
 def true_jamming_stream(trace: SimTrace) -> JammingStream:
     """The session's own jamming stream (what the eavesdropper holds once
-    the phase-1 secret finally falls).
-
-    Regeneration from ``trace.jamming_seed`` is deterministic, so the
-    stream's ``symbols`` are ``trace.jamming`` itself, not a second
-    derivation of the SHAKE-256 stream."""
-    w = trace.params.jamming_bits_per_symbol
-    if w == 0:
+    the phase-1 secret finally falls), regenerated from
+    ``trace.jamming_seed``; its levels are formed only when read."""
+    if trace.params.jamming_bits_per_symbol == 0:
         raise ValueError("session ran without jamming")
-    return JammingStream(seed=trace.jamming_seed, bits_per_symbol=w,
-                         jam_scale=trace.jam_scale, symbols=trace.jamming)
+    return _own_stream(trace)
 
 
 @dataclass(frozen=True)
@@ -530,35 +448,33 @@ def eve_storage_attack(trace: SimTrace, jamming: JammingStream) -> EveAttackRepo
     outcome: everything left beyond channel noise is quantization loss,
     baked in at reception time. A wrong-seed stream only adds power.
 
-    The session has already taken the statistics of that outcome
-    (``trace.eve_post``), so for the session's own array
-    (``jamming.symbols is trace.jamming``, as :func:`true_jamming_stream`
-    returns) the report takes its statistics from ``trace.stats``. Any
-    other stream, an equal copy included, is subtracted in full by the
-    same rule.
+    The session has already taken the statistics of that outcome, so for
+    a stream equal to its own (same seed, width, scale and length) the
+    report takes them from ``trace.stats`` and reads no array. Any other
+    stream is subtracted a chunk at a time, by the same operations.
     """
-    if len(jamming.symbols) != len(trace):
+    if len(jamming) != len(trace):
         raise ValueError("jamming stream length does not match the trace")
-    if jamming.symbols is trace.jamming:
+    if trace.params.jamming_bits_per_symbol and jamming == _own_stream(trace):
         post_attack_snr = trace.stats["eve_post_attack_snr"]
         residual_var = trace.stats["eve_residual_var"]
     else:
-        # One buffer, and nothing cached on the trace: the stored record
-        # minus the stream is formed in it block by block, once for each
-        # statistic. Like the session's statistics, these never form the
-        # clean signal.
-        amplitudes = _encode_key(trace.key, trace.params.signal_power)
-        cleaned = trace._eve_record(np.empty(len(trace)),
-                                    minus=jamming.symbols)
-        post_attack_snr = _snr(trace.stats["signal_power_emp"],
-                               _error_variance(cleaned, amplitudes,
-                                               out=cleaned))
-        trace._eve_record(cleaned, minus=jamming.symbols)
-        residual_var = _residual_variance(cleaned, amplitudes,
-                                          trace.eve_noise, out=cleaned)
+        post_attack_snr, residual_var = _subtract(trace, jamming)
     return EveAttackReport(
         n_symbols=len(trace),
         residual_var=residual_var,
         pre_attack_snr=trace.stats["eve_pre_attack_snr"],
         post_attack_snr=post_attack_snr,
     )
+
+
+def _subtract(trace: SimTrace, jamming: JammingStream) -> tuple:
+    """Eve's post-attack SNR and residual variance once ``jamming`` is
+    subtracted from her stored record, a chunk at a time."""
+    moments = _Moments()
+    for chunk, levels in zip(trace._chunks(eve=True), jamming.chunks()):
+        post = chunk.eve_stored - levels
+        moments.add(len(chunk), _attack_moments(chunk, post, post,
+                                                np.empty(len(chunk))))
+    post_error_var, residual_var = moments.variances()
+    return _snr(trace.stats["signal_power_emp"], post_error_var), residual_var

@@ -389,6 +389,30 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    # A trace formatter that exits 3 fails the write: exit 2, and nothing
+    # this run wrote remains, neither its files nor the directories it
+    # made. A file that was there before stays as it was.
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_trace_write_leaves_nothing(self, tmp_path, capsys,
+                                               monkeypatch, existing):
+        from jkelab import output
+        script = tmp_path / "child.py"
+        script.write_text("import sys\nsys.exit(3)\n")
+        monkeypatch.setattr(output.trace_rows, "__file__", str(script))
+        monkeypatch.setattr(output, "_trace_processes", lambda: 2)
+        cfg = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
+                                      "simulate": SIM_BLOCK})
+        out = tmp_path / "made" / "sim"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_IO
+        assert "exited with status 3" in capsys.readouterr().err
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "made").exists()
+
 
 class TestRace:
     def test_headline_point_vs_quantum_preset(self, tmp_path):

@@ -207,15 +207,43 @@ def child_script(monkeypatch, tmp_path, body: str):
 def test_trace_csv_write_failure_reaps_children(base_trace, monkeypatch,
                                                 tmp_path):
     # Every write to /dev/full fails, the first batch's included, while
-    # both children are formatting their rows.
+    # both children are formatting their rows. The rows go to the partial
+    # file first, so that is the name that leads there.
     if not os.path.exists("/dev/full"):
         pytest.skip("needs a device whose writes fail")
-    (tmp_path / "trace.csv").symlink_to("/dev/full")
+    partial = tmp_path / f".trace.csv.{os.getpid()}.partial"
+    partial.symlink_to("/dev/full")
     monkeypatch.setattr(output, "_trace_processes", lambda: 3)
     with deadline(60), pytest.raises(OSError):
         output.write_trace_csv(edge_trace(base_trace, LONG),
                                tmp_path / "trace.csv")
     assert_no_children()
+    assert list(tmp_path.iterdir()) == []
+
+
+# A failed write leaves the file that was there and no partial file,
+# whether a child fails or this process is interrupted.
+@pytest.mark.parametrize("failure", ["child", "interrupt"])
+def test_trace_csv_failed_write_leaves_no_file(base_trace, monkeypatch,
+                                               tmp_path, failure):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace.csv").write_text("earlier")
+    if failure == "child":
+        child_script(monkeypatch, tmp_path, "import sys\nsys.exit(3)\n")
+        raised = OSError
+    else:
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(output.trace_rows, "write_rows", interrupted)
+        raised = KeyboardInterrupt
+    monkeypatch.setattr(output, "_trace_processes", lambda: 2)
+    with deadline(60), pytest.raises(raised):
+        output.write_trace_csv(edge_trace(base_trace, LONG), out / "trace.csv")
+    assert_no_children()
+    assert [p.name for p in out.iterdir()] == ["trace.csv"]
+    assert (out / "trace.csv").read_text() == "earlier"
 
 
 def test_trace_csv_failed_child_raises(base_trace, monkeypatch, tmp_path):

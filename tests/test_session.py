@@ -1,8 +1,6 @@
 import dataclasses
 import math
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -10,9 +8,13 @@ import pytest
 
 from jkelab import (AdcSpec, CancellationModel, KeyMaterial, SystemParams,
                     ValidationError, adc, cancellation_bits,
-                    eve_storage_attack, jamming_stream, kernels,
+                    eve_storage_attack, jamming, jamming_stream, kernels,
                     run_jke_session, session, true_jamming_stream)
-from jkelab.session import WARN_MARGIN_BITS, _variance, default_jam_scale
+from jkelab.session import (WARN_MARGIN_BITS, _Moments, _moments,
+                            default_jam_scale)
+
+# The bytes of one chunk-sized float64 buffer.
+CHUNK_BUFFER = 8 * jamming.CHUNK_SYMBOLS
 
 IDEAL = CancellationModel(math.inf)
 
@@ -149,32 +151,69 @@ class TestSession:
     @pytest.mark.parametrize("n_symbols", [2.5, 3.0, True, "7", None, -1],
                              ids=repr)
     def test_symbol_count_must_be_an_integer(self, headline_params,
-                                             monkeypatch, n_symbols):
-        # The count is refused on the caller's thread, before any helper
-        # thread starts.
-        def no_thread(self):
-            raise AssertionError("a thread started")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+                                             n_symbols):
         with pytest.raises(ValidationError, match="symbol count must be an "
                                                   "integer of at least 1"):
             run_jke_session(headline_params, IDEAL, KeyMaterial.random(seed=1),
                             n_symbols, rng_seed=1)
 
-    # The noise is Generator.normal's, byte for byte; with zero variance
-    # that is +0.0, never -0.0 (whose repr would change trace.csv).
+    # Each noise is one Generator.normal draw of its own child of the seed,
+    # byte for byte, across three chunks; with zero variance that is +0.0,
+    # never -0.0 (whose repr would change trace.csv).
     @pytest.mark.parametrize("noise_var", [0.0, 1e-3])
     def test_noise_is_the_generators_normal_draw(self, headline_params,
                                                 noise_var):
         point = headline_params.with_bob_noise_var(
             noise_var).with_eve_noise_var(noise_var)
+        n = 2 * jamming.CHUNK_SYMBOLS + 5
         trace = run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
-                                1000, rng_seed=3)
-        rng = np.random.default_rng(3)
-        rng.bytes(32)  # the jamming seed
-        for noise in (trace.bob_noise, trace.eve_noise):
-            want = rng.normal(0.0, math.sqrt(noise_var), 1000)
+                                n, rng_seed=3)
+        _, bob, eve = np.random.SeedSequence(3).spawn(3)
+        for noise, child in ((trace.bob_noise, bob), (trace.eve_noise, eve)):
+            want = np.random.default_rng(child).normal(
+                0.0, math.sqrt(noise_var), n)
             assert noise.tobytes() == want.tobytes()
+
+    def test_session_starts_no_thread(self, headline_params, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        trace = run_jke_session(headline_params, CancellationModel(60.0),
+                                KeyMaterial.random(seed=1), 5000, rng_seed=3)
+        eve_storage_attack(trace, true_jamming_stream(trace))
+
+    def test_traced_layers_run_on_the_callers_thread(self, headline_params,
+                                                     monkeypatch):
+        calls = []
+        for module, name in ((session, "jamming_stream"), (adc, "quantize"),
+                             (kernels, "quantize_midrise"),
+                             (kernels, "unpack_symbols")):
+            def record(*args, _original=getattr(module, name), _name=name,
+                       **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+        run_jke_session(headline_params, CancellationModel(60.0),
+                        KeyMaterial.random(seed=1), 5000, rng_seed=3)
+        assert {name for name, _ in calls} == {
+            "jamming_stream", "quantize", "quantize_midrise", "unpack_symbols"}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+    # Bob's noise variance alone overflows (his receiver chain clips the
+    # noise): the session raises under the caller's error state.
+    def test_callers_floating_point_errors_hold(self, headline_params):
+        point = headline_params.with_bob_noise_var(1e308)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
+                                5000, rng_seed=3)
+
+    def test_invalid_jam_scale_rejected(self, headline_params):
+        with pytest.raises(ValueError, match="jamming scale"):
+            run_jke_session(headline_params, IDEAL,
+                            KeyMaterial.random(seed=1), 5000, rng_seed=3,
+                            jam_scale=0.0)
 
     def test_numpy_integer_symbol_count(self, headline_params):
         key = KeyMaterial.random(seed=1)
@@ -243,28 +282,27 @@ class TestStorageAttack:
         trace = run_jke_session(headline_params, IDEAL,
                                 KeyMaterial.random(seed=4), 1000, rng_seed=9)
         stream = true_jamming_stream(trace)
-        assert stream.symbols is trace.jamming
-        assert (stream.seed, stream.bits_per_symbol, stream.jam_scale) == (
-            trace.jamming_seed, 14, trace.jam_scale)
+        assert (stream.seed, stream.bits_per_symbol, stream.jam_scale,
+                len(stream)) == (trace.jamming_seed, 14, trace.jam_scale, 1000)
         fresh = jamming_stream(trace.jamming_seed, 14, len(trace), trace.jam_scale)
-        assert np.array_equal(stream.symbols, fresh.symbols)
+        assert stream == fresh
+        assert np.array_equal(stream.symbols, trace.jamming)
 
+    # The report an equal stream takes from the session's statistics is
+    # the full subtraction's, over 1, 2 and 3 chunks; repr tells every
+    # float apart bit for bit.
     @pytest.mark.parametrize("depth", [math.inf, 150.0, 60.0])
     @pytest.mark.parametrize("w", [1, 7, 8, 13, 14, 20, 31, 32])
     def test_own_stream_report_equals_full_subtraction(self, headline_params,
                                                        w, depth):
-        # A regenerated, equal array is not the session's own, so it takes
-        # the full subtraction; repr tells every float apart bit for bit.
         params = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
         trace = run_jke_session(params, CancellationModel(depth),
-                                KeyMaterial.random(seed=4), 10_007,
+                                KeyMaterial.random(seed=4),
+                                w * jamming.CHUNK_SYMBOLS // 12 + 7,
                                 rng_seed=100 * w)
-        regenerated = jamming_stream(trace.jamming_seed, w, len(trace),
-                                     trace.jam_scale)
-        assert regenerated.symbols is not trace.jamming
         own = eve_storage_attack(trace, true_jamming_stream(trace))
-        full = eve_storage_attack(trace, regenerated)
-        assert repr(own.to_dict()) == repr(full.to_dict())
+        full = session._subtract(trace, true_jamming_stream(trace))
+        assert repr((own.post_attack_snr, own.residual_var)) == repr(full)
 
     def test_one_jamming_derivation_per_session(self, headline_params,
                                                 monkeypatch):
@@ -280,20 +318,21 @@ class TestStorageAttack:
         eve_storage_attack(trace, true_jamming_stream(trace))
         assert len(calls) == 1
 
-    def test_foreign_stream_attack_peaks_at_one_buffer(self, headline_params):
-        # The stored record minus the stream is formed twice in one buffer,
-        # once for each statistic, instead of once beside a second buffer.
-        n = 200_000
+    # The stored record minus the stream is formed a chunk at a time.
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 20])
+    def test_foreign_stream_attack_peaks_at_fixed_chunk_buffers(
+            self, headline_params, n):
         trace = run_jke_session(headline_params, IDEAL,
                                 KeyMaterial.random(seed=4), n, rng_seed=9)
-        regenerated = jamming_stream(trace.jamming_seed, 14, n, trace.jam_scale)
+        wrong = jamming_stream(trace.jamming_seed.with_flipped_bit(0), 14, n,
+                               trace.jam_scale)
         tracemalloc.start()
         try:
-            eve_storage_attack(trace, regenerated)
+            eve_storage_attack(trace, wrong)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 8 * n <= peak < 1.25 * 8 * n
+        assert peak < 13 * CHUNK_BUFFER
 
     def test_stats_recomputable_from_sequences(self, headline_params):
         trace = run_jke_session(headline_params, IDEAL,
@@ -321,8 +360,9 @@ def _variance_input(kind: str, n: int) -> np.ndarray:
 
 
 class TestVariance:
-    """The session's in-place variance against ``float(np.var(x))``, over
-    lengths across NumPy's pairwise-summation block edges."""
+    """A chunk's moments against ``float(np.var(x))``, over lengths across
+    NumPy's pairwise-summation block edges: within one chunk, a session's
+    variances are ``np.var``'s, bit for bit."""
 
     @pytest.mark.parametrize("separate_out", [False, True])
     @pytest.mark.parametrize("kind", ["normal", "inf", "-inf", "nan",
@@ -335,328 +375,80 @@ class TestVariance:
         with np.errstate(all="ignore"):
             want = float(np.var(x))
             out = np.empty_like(x) if separate_out else x.copy()
-            got = _variance(x if separate_out else out, out=out)
+            moments = _Moments()
+            moments.add(n, [_moments(x if separate_out else out, out=out)])
+            [got] = moments.variances()
         assert (repr(got), math.copysign(1.0, got)) == (
             repr(want), math.copysign(1.0, want))
 
-
-class _ScriptedGenerator:
-    """A real generator whose ``standard_normal`` (the session's noise
-    draw) sleeps ``delay`` seconds before each draw, and raises ``error``
-    on call ``fail_at`` (0 is Bob's noise, 1 is Eve's)."""
-
-    def __init__(self, seed, fail_at=None, error=None, delay=0.0):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._fail_at, self._error, self._delay = fail_at, error, delay
-        self._calls = 0
-
-    def bytes(self, n):
-        return self._rng.bytes(n)
-
-    def standard_normal(self, *args, **kwargs):
-        time.sleep(self._delay)
-        if self._calls == self._fail_at:
-            raise self._error
-        self._calls += 1
-        return self._rng.standard_normal(*args, **kwargs)
-
-
-def _hook_statistics(monkeypatch, hook):
-    """Call ``hook(i, thread, out)`` before statistic ``i`` of each
-    session's shared list runs, on the thread that runs it: ``thread`` is
-    "caller" or "helper", and ``out`` is the scratch buffer it passes."""
-    share = session._share
-    caller = threading.get_ident()
-
-    def hooked(pool, entries, *args, **kwargs):
-        def entry(i):
-            def run(out):
-                hook(i, "caller" if threading.get_ident() == caller
-                     else "helper", out)
-                return entries[i](out)
-            return run
-        return share(pool, [entry(i) for i in range(len(entries))], *args,
-                     **kwargs)
-
-    monkeypatch.setattr(session, "_share", hooked)
-
-
-def _hold(thread, ran: dict):
-    """A hook that records in ``ran`` which thread runs each statistic,
-    with which scratch buffer, and holds ``thread`` for
-    0.3 s in its first one, so that the other thread runs the rest."""
-    def hook(i, on, out):
-        ran[i] = on, out
-        if on == thread and [t for t, _ in ran.values()].count(on) == 1:
-            time.sleep(0.3)
-    return hook
-
-
-def _serial_statistics(trace) -> dict:
-    """The shared statistics by plain NumPy on full-length temporaries,
-    one after another, from the trace's own sequences."""
-    clean, key = trace.clean_signal, trace.key
-    power = float(np.mean(clean ** 2))
-
-    def snr(observed):
-        err_var = float(np.var(observed - clean))
-        return math.inf if err_var == 0.0 else power / err_var
-
-    idx = np.arange(len(trace)) % key.n_bits
-    votes = np.bincount(idx, weights=np.sign(trace.bob_post),
-                        minlength=key.n_bits)
-    covered = min(len(trace), key.n_bits)
-    bits = key.bit_array()[:covered]
-    residual = trace.cancel.residual_amplitude_factor * trace.jamming
-    return {
-        "bob_symbol_errors": int(np.sum(np.sign(trace.bob_post)
-                                        != np.sign(clean))),
-        "bob_key_bit_errors": int(np.sum((votes[:covered] > 0) != (bits == 1))),
-        "bob_key_bits_covered": covered,
-        "signal_power_emp": power,
-        "residual_jamming_power": float(np.var(residual)),
-        "bob_effective_snr": snr(trace.bob_post),
-        "eve_pre_attack_snr": snr(trace.eve_rx),
-        "bob_noise_var_emp": float(np.var(trace.bob_noise)),
-        "eve_noise_var_emp": float(np.var(trace.eve_noise)),
-        "eve_post_attack_snr": snr(trace.eve_post),
-        "eve_residual_var": float(np.var(trace.eve_post - clean
-                                         - trace.eve_noise)),
-        "jamming_power_emp": float(np.var(trace.jamming)),
-    }
-
-
-class TestHelperThread:
-    """The session draws its noise on one helper thread, which then
-    shares the session's statistics with the caller. No thread outlives
-    a session, whether it returns or raises, and every layer the benchmark traces runs on
-    the caller's thread."""
-
-    # Held in its first statistic, one thread leaves the other to run
-    # all but at most that one. Each thread works in its own scratch
-    # buffer, and the statistics are the serial ones, bit for bit. The
-    # helper always starts with Eve's pre-attack error (statistic 4): it
-    # forms it in place in the buffer it then works in.
-    @pytest.mark.parametrize("held", ["helper", "caller"])
-    def test_shared_statistics_equal_the_serial_ones(self, headline_params,
-                                                     monkeypatch, held):
-        ran = {}
-        _hook_statistics(monkeypatch, _hold(held, ran))
-        point = dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
-        trace = run_jke_session(point, CancellationModel(60.0),
-                                KeyMaterial.random(seed=1), 300_007,
-                                rng_seed=3)
-        assert sorted(ran) == list(range(10))
-        threads = [on for on, _ in ran.values()]
-        other = "caller" if held == "helper" else "helper"
-        assert threads.count(held) <= 1
-        assert threads.count(other) >= 9
-        assert ran[4][0] == "helper"
-        buffers = {}
-        for on, out in ran.values():
-            assert buffers.setdefault(on, out) is out
-        if len(buffers) == 2:
-            assert not np.shares_memory(buffers["caller"], buffers["helper"])
-        for name, want in _serial_statistics(trace).items():
-            got = trace.stats[name]
-            assert type(got) is type(want), name
-            assert repr(got) == repr(want), name
-            assert math.copysign(1.0, got) == math.copysign(1.0, want), name
-
-    # Four sessions at once, eight threads on fewer CPUs, switching as
-    # often as the interpreter allows: a lost update of the claimed count
-    # would run a statistic twice, or never.
-    def test_each_statistic_runs_once_under_contention(self, headline_params,
-                                                       monkeypatch):
-        counts = []
-        share = session._share
-
-        def counted(pool, entries, *args, **kwargs):
-            ran = [0] * len(entries)
-            counts.append(ran)
-
-            def entry(i):
-                def run(out):
-                    ran[i] += 1
-                    return entries[i](out)
-                return run
-            return share(pool, [entry(i) for i in range(len(entries))],
-                         *args, **kwargs)
-
-        monkeypatch.setattr(session, "_share", counted)
-        traces = {}
-
-        def run(seed):
-            traces[seed] = run_jke_session(
-                headline_params, CancellationModel(60.0),
-                KeyMaterial.random(seed=1), 20_000, rng_seed=seed)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            sessions = [threading.Thread(target=run, args=(seed,))
-                        for seed in range(4)]
-            for thread in sessions:
-                thread.start()
-            for thread in sessions:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in sessions)
-        assert counts == [[1] * 10] * 4
-        for trace in traces.values():
-            for name, want in _serial_statistics(trace).items():
-                assert repr(trace.stats[name]) == repr(want), name
-
-    # The earlier entry fails later in time, on whichever thread runs it.
-    def test_first_failing_statistic_in_list_order_is_raised(
-            self, headline_params, monkeypatch):
-        earlier, later = RuntimeError("statistic 1"), RuntimeError("statistic 6")
-
-        def hook(i, on, out):
-            if i == 1:
-                time.sleep(0.2)
-                raise earlier
-            if i == 6:
-                raise later
-
-        _hook_statistics(monkeypatch, hook)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as raised:
-            run_jke_session(headline_params, IDEAL, KeyMaterial.random(seed=1),
-                            5000, rng_seed=3)
-        assert raised.value is earlier
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_a_session(self, headline_params):
-        before = threading.active_count()
-        run_jke_session(headline_params, IDEAL, KeyMaterial.random(seed=1),
-                        5000, rng_seed=3)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("fail_at", [0, 1])
-    def test_helper_error_reaches_the_caller(self, headline_params,
-                                             monkeypatch, fail_at):
-        error = MemoryError("no room for the noise")
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _ScriptedGenerator(seed, fail_at,
-                                                            error))
-        before = threading.active_count()
-        with pytest.raises(MemoryError) as raised:
-            run_jke_session(headline_params, IDEAL,
-                            KeyMaterial.random(seed=1), 5000, rng_seed=3)
-        assert raised.value is error
-        assert threading.active_count() == before
-
-    # A slow draw keeps the helper busy when the caller fails.
-    def test_caller_error_joins_the_helper(self, headline_params,
-                                           monkeypatch):
-        def broken(samples, config):
-            raise RuntimeError("quantizer failed")
-
-        monkeypatch.setattr(adc, "quantize", broken)
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _ScriptedGenerator(seed, delay=0.2))
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="quantizer failed"):
-            run_jke_session(headline_params, IDEAL,
-                            KeyMaterial.random(seed=1), 5000, rng_seed=3)
-        assert threading.active_count() == before
-
-    def test_invalid_jam_scale_joins_the_helper(self, headline_params,
-                                                monkeypatch):
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _ScriptedGenerator(seed, delay=0.2))
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="jamming scale"):
-            run_jke_session(headline_params, IDEAL,
-                            KeyMaterial.random(seed=1), 5000, rng_seed=3,
-                            jam_scale=0.0)
-        assert threading.active_count() == before
-
-    def test_traced_layers_run_on_the_callers_thread(self, headline_params,
-                                                     monkeypatch):
-        calls = []
-        for module, name in ((session, "jamming_stream"), (adc, "quantize"),
-                             (kernels, "quantize_midrise"),
-                             (kernels, "unpack_symbols")):
-            def record(*args, _original=getattr(module, name), _name=name,
-                       **kwargs):
-                calls.append((_name, threading.get_ident()))
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(module, name, record)
-        run_jke_session(headline_params, CancellationModel(60.0),
-                        KeyMaterial.random(seed=1), 5000, rng_seed=3)
-        assert {name for name, _ in calls} == {
-            "jamming_stream", "quantize", "quantize_midrise", "unpack_symbols"}
-        assert {ident for _, ident in calls} == {threading.get_ident()}
-
-    def test_helper_keeps_the_callers_floating_point_errors(
-            self, headline_params, monkeypatch):
-        # Bob's noise variance (statistic 5) alone overflows: his receiver
-        # chain clips the noise. With the caller held, the helper runs it;
-        # a new thread's NumPy state would warn and give inf.
-        ran = {}
-        _hook_statistics(monkeypatch, _hold("caller", ran))
-        point = headline_params.with_bob_noise_var(1e308)
-        before = threading.active_count()
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="overflow"):
-                run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
-                                5000, rng_seed=3)
-        assert ran[5][0] == "helper"
-        assert threading.active_count() == before
+    # Merged chunk by chunk, far from zero mean and with a short last chunk.
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_merged_chunks_match_numpy_var(self, offset):
+        x = np.random.default_rng(5).normal(offset, 1.0, 10 * 4096 + 17)
+        moments = _Moments()
+        for start in range(0, len(x), 4096):
+            part = x[start:start + 4096]
+            moments.add(len(part), [_moments(part, np.empty(len(part))),
+                                    _moments(-part, np.empty(len(part)))])
+        assert moments.variances() == pytest.approx([np.var(x)] * 2,
+                                                     rel=1e-12, abs=0.0)
 
 
 class TestLeanTrace:
-    """A finished trace keeps only the three arrays that were drawn; the
-    other six are formed on first read, by the session's own arithmetic."""
+    """A trace keeps no array: a session and its attack peak at a fixed
+    number of chunk buffers whatever their length, and reading a sequence
+    forms it in one new full-length buffer."""
 
-    N = 200_000
+    N = 1 << 20
 
     @pytest.fixture
     def point(self, headline_params):
         return dataclasses.replace(headline_params, jamming_bits_per_symbol=20)
 
-    def test_trace_keeps_three_arrays_and_forms_two_on_read(self, point):
-        buffers = 8 * self.N
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 20])
+    def test_session_with_attack_peaks_at_fixed_chunk_buffers(self, point, n):
         key = KeyMaterial.random(seed=1)
-        run_jke_session(point, CancellationModel(60.0), key, self.N, rng_seed=3)
+        run_jke_session(point, CancellationModel(60.0), key, 10, rng_seed=3)
         tracemalloc.start()
         try:
-            trace = run_jke_session(point, CancellationModel(60.0), key,
-                                    self.N, rng_seed=4)
+            trace = run_jke_session(point, CancellationModel(60.0), key, n,
+                                    rng_seed=4)
+            eve_storage_attack(trace, true_jamming_stream(trace))
             kept, peak = tracemalloc.get_traced_memory()
-            trace.bob_rx, trace.eve_rx
-            read, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # jamming and both noises
-        assert 3 * buffers <= kept < 3.25 * buffers
-        assert 2 * buffers <= read - kept < 2.25 * buffers
-        # At the session's peak: those three, eve_rx, bob_post, eve_post
-        # and the caller's scratch buffer (eve_rx is the helper's). The
-        # clean signal, bob_rx, Bob's pre-quantizer samples and
-        # eve_stored are formed in none.
-        assert peak < 7.25 * buffers
+        # About 15: a chunk's arrays and temporaries, the statistics'
+        # two scratch buffers and the next chunk's two noise draws.
+        assert peak < 16 * CHUNK_BUFFER
+        assert kept < CHUNK_BUFFER / 8
 
-    # Each is formed block by block in its one new buffer.
+    # Each is formed a chunk at a time in its one new buffer.
     @pytest.mark.parametrize("name", ["bob_post", "eve_stored", "eve_post"])
     def test_reading_a_quantized_array_adds_one_buffer(self, point, name):
-        buffers = 8 * self.N
+        self.assert_read_adds_one_buffer(point, name)
+
+    @pytest.mark.parametrize("name", ["clean_signal", "jamming", "bob_noise",
+                                      "eve_noise", "bob_rx", "eve_rx"])
+    def test_reading_any_other_array_adds_one_buffer(self, point, name):
+        self.assert_read_adds_one_buffer(point, name)
+
+    def assert_read_adds_one_buffer(self, point, name):
+        buffer = 8 * self.N
         trace = run_jke_session(point, CancellationModel(60.0),
                                 KeyMaterial.random(seed=1), self.N, rng_seed=4)
         tracemalloc.start()
         try:
-            getattr(trace, name)
-            read, peak = tracemalloc.get_traced_memory()
+            before = tracemalloc.get_traced_memory()[0]
+            read = getattr(trace, name)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert buffers <= read < 1.05 * buffers
-        assert peak < 1.25 * buffers
+        assert read.nbytes == buffer and read.base is None
+        assert 0.99 * buffer < peak - before < buffer + 10 * CHUNK_BUFFER
 
     @pytest.mark.parametrize("w", [0, 14])
-    @pytest.mark.parametrize("n", [1, 1000, 40_011])
+    @pytest.mark.parametrize("n", [1, 1000, 40_011,
+                                   2 * jamming.CHUNK_SYMBOLS + 11])
     def test_derived_arrays_are_their_formulas(self, headline_params, w, n):
         point = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
         key = KeyMaterial.random(seed=1)
@@ -684,13 +476,13 @@ class TestLeanTrace:
             assert not got.flags.writeable, name
 
     # Bob's quantizer sees the jamming his cancellation leaves, whatever
-    # the depth; 40,011 symbols span three blocks, the last one short.
+    # the depth, over three chunks, the last one short.
     @pytest.mark.parametrize("depth", [0.0, 60.0, 150.0])
     def test_bob_post_keeps_the_residual_jamming(self, headline_params, depth):
         key = KeyMaterial.random(seed=1)
         cancel = CancellationModel(depth)
-        trace = run_jke_session(headline_params, cancel, key, 40_011,
-                                rng_seed=3)
+        trace = run_jke_session(headline_params, cancel, key,
+                                2 * jamming.CHUNK_SYMBOLS + 11, rng_seed=3)
         bob_q = adc.QuantizerConfig.for_signal(
             headline_params.signal_power, headline_params.bob_bits(),
             headline_params.dynamic_range_factor)
