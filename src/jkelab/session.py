@@ -8,13 +8,23 @@ by its cancellation depth and quantizes at its own resolution, and the
 eavesdropper quantizes the raw jammed signal at the widened dynamic range
 and stores it.
 
-A session is one pass, on the calling thread, over chunks of
-``jamming.CHUNK_SYMBOLS`` symbols, so its memory does not grow with its
-length. Each channel's noise comes from its own child of the session's
-seed (``SeedSequence.spawn``), drawn chunk after chunk; one full draw
-gives the same values. Every variance is merged from the chunks' (n, mean,
-M2) by Chan, Golub & LeVeque (1979); the error counts and key votes are
-exact sums. A trace keeps what regenerates the session, not its arrays.
+A session is one pass over chunks of ``jamming.CHUNK_SYMBOLS`` symbols,
+so its memory does not grow with its length. Each channel's noise comes
+from its own child of the session's seed (``SeedSequence.spawn``), drawn
+chunk after chunk; one full draw gives the same values. Where the
+process may run on more than one CPU, a one-worker helper thread fills
+the next chunk's noise, one chunk ahead, while the caller works on this
+one: it runs only the two generators' ``standard_normal`` fill loops
+(NumPy's C loops, which release the GIL), into buffers the caller
+allocated. The caller draws the first chunk (on one CPU, every chunk),
+scales each draw to its channel's variance, and runs every ufunc,
+quantizer, SHAKE-256 call and traced layer, under its own ``np.errstate``.
+Each generator is drawn in chunk order, so every array and statistic
+depends on ``CHUNK_SYMBOLS`` alone, not on the CPU count or thread timing,
+and the helper has exited once a pass ends, however it ends. Every
+variance is merged from the chunks' (n, mean, M2) by Chan, Golub &
+LeVeque (1979); the error counts and key votes are exact sums. A trace
+keeps what regenerates the session, not its arrays.
 
 The non-storage assumption is structural: the storage attack only ever
 sees the quantized record, never the pre-quantization waveform.
@@ -23,6 +33,8 @@ sees the quantized record, never the pre-quantization waveform.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,14 +95,33 @@ def _generator(rng_seed, child: int) -> np.random.Generator:
         np.random.SeedSequence(rng_seed, spawn_key=(child,)))
 
 
+def _overlaps() -> bool:
+    """Whether a helper thread may run beside this one: this process may
+    run on more than one CPU (assumed where the affinity call is missing).
+    On one CPU the two would only take turns."""
+    if not hasattr(os, "sched_getaffinity"):
+        return True
+    return len(os.sched_getaffinity(0)) > 1
+
+
+def _fill(generators: list, buffers: list) -> list:
+    """Fill each buffer with its generator's standard normal draws, by
+    NumPy's C loop alone: no allocation, no ufunc."""
+    for rng, buf in zip(generators, buffers):
+        rng.standard_normal(out=buf)
+    return buffers
+
+
 def _column(name: str) -> cached_property:
     """A trace's sequence ``name``: formed a chunk at a time into one new
     array on first read, then cached, read-only."""
     def form(self) -> np.ndarray:
         out = np.empty(len(self))
-        for chunk in self._chunks(bob=name.startswith("bob"),
-                                  eve=name.startswith("eve")):
-            out[chunk.start:chunk.start + len(chunk)] = getattr(chunk, name)
+        with closing(self._chunks(bob=name.startswith("bob"),
+                                  eve=name.startswith("eve"))) as chunks:
+            for chunk in chunks:
+                part = slice(chunk.start, chunk.start + len(chunk))
+                out[part] = getattr(chunk, name)
         out.setflags(write=False)
         return out
     return cached_property(form)
@@ -143,7 +174,18 @@ class SimTrace:
     def _chunks(self, bob: bool = False, eve: bool = False):
         """Each chunk of the session in order, with Bob's and Eve's noise
         drawn if asked for. A chunk takes the sequences this trace has
-        formed already as slices of them; a noise among them is not drawn."""
+        formed already as slices of them; a noise among them is not drawn.
+
+        This thread draws the first chunk's noise. Where ``_overlaps()``, a
+        one-worker pool fills each later chunk's while the chunk before it
+        is worked on, by ``_fill`` into buffers allocated here; otherwise
+        this thread draws them too. The draws are scaled here.
+        Close the generator once done with it (``contextlib.closing``): it
+        shuts the pool down and waits for a pending draw on every exit."""
+        # Loaded by the first pass, so that importing this module does not
+        # load concurrent.futures (and logging).
+        from concurrent.futures import ThreadPoolExecutor
+
         params = self.params
         formed = {name: self.__dict__[name] for name in _SEQUENCES
                   if name in self.__dict__}
@@ -154,15 +196,34 @@ class SimTrace:
                      ("bob_noise", _BOB_NOISE, params.bob_noise_var, bob),
                      ("eve_noise", _EVE_NOISE, params.eve_noise_var, eve))
                  if wanted and name not in formed]
-        step = jamming.CHUNK_SYMBOLS
-        for index, start in enumerate(range(0, len(self), step)):
-            size = min(step, len(self) - start)
-            chunk = _Chunk(self, index, start, size, amplitudes, stream)
-            for name, seq in formed.items():
-                chunk.__dict__[name] = seq[start:start + size]
-            for name, rng, sd in draws:
-                chunk.__dict__[name] = rng.normal(0.0, sd, size)
-            yield chunk
+        generators = [rng for _, rng, _ in draws]
+        n, step = len(self), jamming.CHUNK_SYMBOLS
+        helper = bool(draws) and _overlaps()
+
+        def buffers(start: int) -> list:
+            return [np.empty(min(step, n - start)) for _ in draws]
+
+        # Leaving the pool's block shuts it down and waits for its worker,
+        # however the pass ends; a pool given nothing starts no thread.
+        with ThreadPoolExecutor(1, thread_name_prefix="jkelab-noise") as pool:
+            ahead = None
+            for index, start in enumerate(range(0, n, step)):
+                noise = (_fill(generators, buffers(start)) if ahead is None
+                         else ahead.result())
+                if helper and start + step < n:
+                    ahead = pool.submit(_fill, generators,
+                                        buffers(start + step))
+                size = min(step, n - start)
+                chunk = _Chunk(self, index, start, size, amplitudes, stream)
+                for name, seq in formed.items():
+                    chunk.__dict__[name] = seq[start:start + size]
+                for (name, _, sd), buf in zip(draws, noise):
+                    # Generator.normal(0.0, sd) is 0.0 + sd * x, bit for
+                    # bit; the sum also turns a -0.0 into +0.0.
+                    buf *= sd
+                    buf += 0.0
+                    chunk.__dict__[name] = buf
+                yield chunk
 
 
 class _Chunk:
@@ -361,18 +422,19 @@ def _statistics(trace: SimTrace) -> dict:
     votes = np.zeros(key.n_bits)
     symbol_errors = 0
     scratch = np.empty((2, min(n, jamming.CHUNK_SYMBOLS)))
-    for chunk in trace._chunks(bob=True, eve=True):
-        x, y = scratch[:, :len(chunk)]
-        clean = chunk.clean_signal
-        moments.add(len(chunk), [
-            _moments(chunk.jamming, x), _moments(chunk.bob_noise, x),
-            _moments(chunk.eve_noise, x),
-            _moments(np.subtract(chunk.bob_post, clean, out=x), x),
-            _moments(np.subtract(chunk.eve_rx, clean, out=x), x),
-            *_attack_moments(chunk, chunk.eve_post, x, y)])
-        signs = np.sign(chunk.bob_post, out=x)
-        symbol_errors += int(np.count_nonzero(signs != np.sign(clean)))
-        _fold(signs, chunk.start, votes)
+    with closing(trace._chunks(bob=True, eve=True)) as chunks:
+        for chunk in chunks:
+            x, y = scratch[:, :len(chunk)]
+            clean = chunk.clean_signal
+            moments.add(len(chunk), [
+                _moments(chunk.jamming, x), _moments(chunk.bob_noise, x),
+                _moments(chunk.eve_noise, x),
+                _moments(np.subtract(chunk.bob_post, clean, out=x), x),
+                _moments(np.subtract(chunk.eve_rx, clean, out=x), x),
+                *_attack_moments(chunk, chunk.eve_post, x, y)])
+            signs = np.sign(chunk.bob_post, out=x)
+            symbol_errors += int(np.count_nonzero(signs != np.sign(clean)))
+            _fold(signs, chunk.start, votes)
     (jamming_power, bob_noise_var, eve_noise_var, bob_error_var,
      eve_pre_error_var, eve_post_error_var,
      eve_residual_var) = moments.variances()
@@ -472,9 +534,10 @@ def _subtract(trace: SimTrace, jamming: JammingStream) -> tuple:
     """Eve's post-attack SNR and residual variance once ``jamming`` is
     subtracted from her stored record, a chunk at a time."""
     moments = _Moments()
-    for chunk, levels in zip(trace._chunks(eve=True), jamming.chunks()):
-        post = chunk.eve_stored - levels
-        moments.add(len(chunk), _attack_moments(chunk, post, post,
-                                                np.empty(len(chunk))))
+    with closing(trace._chunks(eve=True)) as chunks:
+        for chunk, levels in zip(chunks, jamming.chunks()):
+            post = chunk.eve_stored - levels
+            moments.add(len(chunk), _attack_moments(chunk, post, post,
+                                                    np.empty(len(chunk))))
     post_error_var, residual_var = moments.variances()
     return _snr(trace.stats["signal_power_emp"], post_error_var), residual_var

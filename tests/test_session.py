@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestCancellation:
         assert model.residual_amplitude_factor ** 2 == pytest.approx(10 ** -8.4)
         assert model.residual_bits == pytest.approx(14.0)
         assert IDEAL.residual_amplitude_factor == 0.0
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A session's helper thread, even where the process may run on one
+    CPU only (there the two threads take turns)."""
+    monkeypatch.setattr(session, "_overlaps", lambda: True)
 
 
 class TestSession:
@@ -174,40 +182,108 @@ class TestSession:
                 0.0, math.sqrt(noise_var), n)
             assert noise.tobytes() == want.tobytes()
 
-    def test_session_starts_no_thread(self, headline_params, monkeypatch):
-        def no_thread(self):
-            raise AssertionError("a thread started")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+    # Three chunks: a helper thread fills the second and third chunks'
+    # noise. It has exited after a session with its own-stream attack, a
+    # foreign-stream attack's pass, a session that raises mid-pass and a
+    # pass closed after its first chunk.
+    def test_no_thread_outlives_a_session(self, headline_params, helper):
+        n = 2 * jamming.CHUNK_SYMBOLS + 1
+        key = KeyMaterial.random(seed=1)
+        before = threading.active_count()
         trace = run_jke_session(headline_params, CancellationModel(60.0),
-                                KeyMaterial.random(seed=1), 5000, rng_seed=3)
+                                key, n, rng_seed=3)
         eve_storage_attack(trace, true_jamming_stream(trace))
+        assert threading.active_count() == before
+        eve_storage_attack(trace, jamming_stream(
+            trace.jamming_seed.with_flipped_bit(0), 14, n, trace.jam_scale))
+        assert threading.active_count() == before
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow") as raised:
+                run_jke_session(headline_params.with_bob_noise_var(1e308),
+                                IDEAL, key, n, rng_seed=3)
+        # Also while the traceback, which holds the pass, is kept.
+        assert raised.tb is not None
+        assert threading.active_count() == before
+        chunks = trace._chunks(bob=True, eve=True)
+        next(chunks)
+        assert threading.active_count() == before + 1  # the helper
+        chunks.close()
+        assert threading.active_count() == before
 
+    # Only the noise fill runs on the helper; over three chunks, every
+    # traced layer runs on the caller's thread.
     def test_traced_layers_run_on_the_callers_thread(self, headline_params,
-                                                     monkeypatch):
+                                                     monkeypatch, helper):
         calls = []
         for module, name in ((session, "jamming_stream"), (adc, "quantize"),
                              (kernels, "quantize_midrise"),
-                             (kernels, "unpack_symbols")):
+                             (kernels, "unpack_symbols"), (session, "_fill")):
             def record(*args, _original=getattr(module, name), _name=name,
                        **kwargs):
                 calls.append((_name, threading.get_ident()))
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
         run_jke_session(headline_params, CancellationModel(60.0),
-                        KeyMaterial.random(seed=1), 5000, rng_seed=3)
-        assert {name for name, _ in calls} == {
+                        KeyMaterial.random(seed=1),
+                        2 * jamming.CHUNK_SYMBOLS + 1, rng_seed=3)
+        traced = {(name, ident) for name, ident in calls if name != "_fill"}
+        assert {name for name, _ in traced} == {
             "jamming_stream", "quantize", "quantize_midrise", "unpack_symbols"}
-        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert {ident for _, ident in traced} == {threading.get_ident()}
+        helpers = {ident for name, ident in calls if name == "_fill"}
+        assert len(helpers - {threading.get_ident()}) == 1
+
+    # Where the process may run on one CPU only, the caller draws every
+    # chunk itself.
+    def test_one_cpu_starts_no_helper(self, headline_params, monkeypatch):
+        monkeypatch.setattr(session, "_overlaps", lambda: False)
+        calls = []
+
+        def record(*args, _fill=session._fill):
+            calls.append(threading.get_ident())
+            return _fill(*args)
+
+        monkeypatch.setattr(session, "_fill", record)
+        run_jke_session(headline_params, CancellationModel(60.0),
+                        KeyMaterial.random(seed=1),
+                        2 * jamming.CHUNK_SYMBOLS + 1, rng_seed=3)
+        assert calls == [threading.get_ident()] * 3
 
     # Bob's noise variance alone overflows (his receiver chain clips the
-    # noise): the session raises under the caller's error state.
+    # noise): the session raises under the caller's error state, with the
+    # next chunk's noise being drawn.
     def test_callers_floating_point_errors_hold(self, headline_params):
         point = headline_params.with_bob_noise_var(1e308)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
-                                5000, rng_seed=3)
+                                2 * jamming.CHUNK_SYMBOLS + 1, rng_seed=3)
+
+    # The caller waits on every helper draw, so its arrays and statistics
+    # do not depend on when a draw finishes.
+    def test_delayed_helper_draws_change_nothing(self, headline_params,
+                                                 monkeypatch, helper):
+        def run():
+            trace = run_jke_session(headline_params, CancellationModel(60.0),
+                                    KeyMaterial.random(seed=1),
+                                    3 * jamming.CHUNK_SYMBOLS + 7, rng_seed=3)
+            return repr(trace.stats), [getattr(trace, name).tobytes()
+                                       for name in session._SEQUENCES]
+
+        want = run()
+        caller, delayed = threading.get_ident(), []
+
+        def slow_fill(*args, _fill=session._fill):
+            if threading.get_ident() != caller:
+                delayed.append(args)
+                time.sleep(0.02)
+            return _fill(*args)
+
+        monkeypatch.setattr(session, "_fill", slow_fill)
+        assert run() == want
+        # Three later chunks, drawn by the session and by the reads of the
+        # two noises; every other read takes the noise read before it.
+        assert len(delayed) == 9
 
     def test_invalid_jam_scale_rejected(self, headline_params):
         with pytest.raises(ValueError, match="jamming scale"):
@@ -417,9 +493,12 @@ class TestLeanTrace:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # About 15: a chunk's arrays and temporaries, the statistics'
-        # two scratch buffers and the next chunk's two noise draws.
-        assert peak < 16 * CHUNK_BUFFER
+        # About 16: a chunk's arrays and temporaries, the statistics'
+        # two scratch buffers, the next chunk's two noise draws, and the
+        # two buffers of the chunk after that which the helper thread is
+        # filling (14.03 buffers at 2**20 symbols before that helper,
+        # 16.05 with it).
+        assert peak < 18 * CHUNK_BUFFER
         assert kept < CHUNK_BUFFER / 8
 
     # Each is formed a chunk at a time in its one new buffer.
