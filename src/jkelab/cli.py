@@ -3,14 +3,18 @@ Monte-Carlo sessions, evaluate timing-race scenarios.
 
 Every command writes its outputs plus the effective config into --out, so
 re-running from that directory's config reproduces the outputs
-byte-identically. Exit codes: 0 success, 1 validation error, 2 I/O error,
-3 infeasible / no positive secrecy.
+byte-identically. One function, ``_write_outputs``, writes every command's
+files: into a hidden stage inside --out first, then renamed into place
+together, so a failed write leaves --out as it was. Exit codes: 0 success,
+1 validation error, 2 I/O error, 3 infeasible / no positive secrecy.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -32,9 +36,39 @@ def _load(args) -> tuple:
     return config, cfg.parse_system(config)
 
 
-def _outdir(args) -> Path:
+def _write_outputs(args, writers: dict) -> Path:
+    """Write a command's files into ``--out``, all of them or none.
+
+    ``writers`` maps each file name to a callable that writes that file at
+    the path it is given. ``--out`` is created if absent. Each writer writes
+    into a hidden stage directory inside it, ``.jkelab.<pid>.partial``; once
+    every one has written, each file is renamed over its name in ``--out``
+    and the stage is removed. If a writer raises, the stage and the
+    directories made here are removed and the exception propagates, so a
+    file already in ``--out`` stays as it was. Only the renames are not all
+    or nothing: one that fails (say, onto a name that is an existing
+    directory) leaves the files renamed before it in place.
+    """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    stage = out / f".jkelab.{os.getpid()}.partial"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage.mkdir()
+        try:
+            for name, write in writers.items():
+                write(stage / name)
+            for name in writers:
+                os.replace(stage / name, out / name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     return out
 
 
@@ -60,14 +94,14 @@ def cmd_analyze(args) -> int:
         "timing": None if timing is None else timing.to_dict(),
         "timing_error": timing_error,
     }
-    out = _outdir(args)
-    output.write_json(out / "config.json", config)
+    writers = {"config.json": lambda path: output.write_json(path, config)}
     if args.format == "csv":
-        output.write_record_csv(payload["secrecy"] | {
-            "duration_s": None if timing is None else timing.duration_s},
-            out / "report.csv")
+        record = payload["secrecy"] | {
+            "duration_s": None if timing is None else timing.duration_s}
+        writers["report.csv"] = lambda path: output.write_record_csv(record, path)
     else:
-        output.write_json(out / "report.json", payload)
+        writers["report.json"] = lambda path: output.write_json(path, payload)
+    out = _write_outputs(args, writers)
     if timing is None:
         print(f"secrecy rate {report.rate_bits_per_s:.6g} bit/s: {timing_error}")
         return EXIT_INFEASIBLE
@@ -87,18 +121,20 @@ def cmd_sweep(args) -> int:
                                  axes["eve_jitter_s"])
 
     # Only a grid that was built leaves an output directory.
-    out = _outdir(args)
     config.setdefault("sweep", {})["which"] = which
-    output.write_json(out / "config.json", config)
+    writers = {"config.json": lambda path: output.write_json(path, config)}
     if args.format == "csv" and which == "fig3a":
-        output.write_rate_grid_csv(grid, out / "grid.csv")
-        output.write_rate_contour_csv(grid, out / "zero_crossing.csv")
+        writers["grid.csv"] = lambda path: output.write_rate_grid_csv(grid, path)
+        writers["zero_crossing.csv"] = \
+            lambda path: output.write_rate_contour_csv(grid, path)
     elif args.format == "csv":
-        output.write_threshold_grid_csv(grid, out / "grid.csv")
+        writers["grid.csv"] = \
+            lambda path: output.write_threshold_grid_csv(grid, path)
     else:
-        output.write_json(out / "grid.json", grid)
-    output.write_json(out / "sweep.json", {
-        "which": which, "system": cfg.system_to_dict(params), "axes": axes})
+        writers["grid.json"] = lambda path: output.write_json(path, grid)
+    sweep = {"which": which, "system": cfg.system_to_dict(params), "axes": axes}
+    writers["sweep.json"] = lambda path: output.write_json(path, sweep)
+    out = _write_outputs(args, writers)
     print(f"swept {which}: {math.prod(map(len, axes.values()))} cells -> {out}")
     return EXIT_OK
 
@@ -159,25 +195,11 @@ def cmd_simulate(args) -> int:
     if attack is not None:
         stats["storage_attack"] = attack.to_dict()
     _check_finite(stats)
-    # Only a session that passed every check leaves an output directory,
-    # and only one whose files were all written: a failed write removes
-    # the files this run wrote and the directories it made. The trace
-    # writer leaves nothing of a failed trace.csv.
-    out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        for name, payload in (("config.json", config), ("stats.json", stats)):
-            written.append(out / name)
-            output.write_json(out / name, payload)
-        output.write_trace_csv(trace, out / "trace.csv")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for directory in made:
-            directory.rmdir()
-        raise
+    # Only a session that passed every check leaves an output directory.
+    out = _write_outputs(args, {
+        "config.json": lambda path: output.write_json(path, config),
+        "stats.json": lambda path: output.write_json(path, stats),
+        "trace.csv": lambda path: output.write_trace_csv(trace, path)})
     print(f"simulated {sim['n_symbols']} symbols (seed {seed}) -> {out}")
     return EXIT_OK
 
@@ -213,9 +235,9 @@ def cmd_race(args) -> int:
 
     # Only a race that was decided, or found undecidable, leaves an output
     # directory.
-    out = _outdir(args)
-    output.write_json(out / "config.json", config)
-    output.write_json(out / "race.json", payload)
+    _write_outputs(args, {
+        "config.json": lambda path: output.write_json(path, config),
+        "race.json": lambda path: output.write_json(path, payload)})
     if timing is None:
         print(f"race undecidable: {timing_error}")
         return EXIT_INFEASIBLE

@@ -39,15 +39,14 @@ def unpack_symbols(raw, n_symbols, bits_per_symbol):
     Every ``8 / gcd(w, 8)`` symbols of ``w`` bits fill whole bytes, so
     each symbol slot of such a group sits at a fixed byte offset and bit
     shift within the group: its column is one strided big-endian load of
-    1, 2, 4 or 8 bytes (offset + w is at most 39 bits), then one shift
-    and one mask, straight into the int64 result. The last rows of a
-    column, whose load would run past ``raw``, read a zero-padded copy of
-    its last bytes instead.
+    1, 2, 4 or 8 bytes, then one shift and one mask, straight into the
+    int64 result. ``raw`` is read through a copy padded with seven zero
+    bytes: offset + w is at most 39 bits, so no load reaches past them.
     """
     w = bits_per_symbol
     if len(raw) * 8 < n_symbols * w:
         raise ValueError("bit stream too short for requested symbol count")
-    data = np.frombuffer(raw, dtype=np.uint8)
+    data = np.frombuffer(bytes(raw) + bytes(7), dtype=np.uint8)
     period = 8 // math.gcd(w, 8)
     group_bytes = w * period // 8
     words = np.empty(n_symbols, dtype=np.int64)
@@ -55,18 +54,10 @@ def unpack_symbols(raw, n_symbols, bits_per_symbol):
         column = words[slot::period]
         first, offset = divmod(slot * w, 8)
         width = _LOAD_BYTES[(offset + w + 7) // 8]
-        inside = min(len(column),
-                     max(0, (len(data) - first - width) // group_bytes + 1))
-        parts = [(column[:inside], data[first:])]
-        if inside < len(column):
-            tail = data[first + inside * group_bytes:]
-            parts.append((column[inside:],
-                          np.concatenate((tail, np.zeros(width, np.uint8)))))
-        for part, buffer in parts:
-            loaded = np.ndarray(len(part), f">u{width}", buffer,
-                                strides=(group_bytes,))
-            np.right_shift(loaded, 8 * width - offset - w, out=part,
-                           casting="unsafe")
-            if offset:
-                part &= (1 << w) - 1
+        loaded = np.ndarray(len(column), f">u{width}", data, offset=first,
+                            strides=(group_bytes,))
+        np.right_shift(loaded, 8 * width - offset - w, out=column,
+                       casting="unsafe")
+        if offset:
+            column &= (1 << w) - 1
     return words

@@ -294,31 +294,17 @@ class ThresholdCells(Sequence):
         return tuple(map(_as_threshold, self.snr_db[index]))
 
 
-def _snr_of(cell: SnrThreshold) -> float | None:
-    """``cell``'s SNR, None exactly when it is infeasible."""
-    if (cell.kind is ThresholdKind.INFEASIBLE) != (cell.snr_db is None):
-        raise ValueError(f"{cell!r} is neither a threshold with an SNR nor "
-                         "infeasible without one")
-    return cell.snr_db
-
-
 @dataclass(frozen=True)
 class ThresholdSweepGrid:
     """Minimum legitimate-SNR thresholds over a (jamming bits x
     eavesdropper jitter) grid, for a noiseless eavesdropper channel.
 
     ``cells`` is a :class:`ThresholdCells`, which the grid writers format
-    directly; rows of :class:`SnrThreshold`s given instead are kept as
-    one."""
+    directly."""
 
     jamming_bits: tuple
     eve_jitter_s: tuple
     cells: ThresholdCells  # cells[i][j] -> SnrThreshold at (jamming_bits[i], eve_jitter_s[j])
-
-    def __post_init__(self):
-        if not isinstance(self.cells, ThresholdCells):
-            object.__setattr__(self, "cells", ThresholdCells(tuple(
-                tuple(map(_snr_of, row)) for row in self.cells)))
 
 
 def sweep_rate_vs_snr(template: SystemParams, bob_snr_db, eve_snr_db) -> RateSweepGrid:

@@ -43,6 +43,7 @@ import numpy as np
 from . import adc, jamming
 from .jamming import JammingStream, jamming_stream
 from .params import KeyMaterial, SystemParams, check_symbol_count, validate
+from .trace_rows import COLUMNS
 
 # Cancellation headroom (bits) demanded beyond the jamming resolution
 # before the residual is considered harmless; at zero headroom the residual
@@ -54,10 +55,6 @@ INSUFFICIENT_CANCELLATION = "insufficient_cancellation"
 # The children of a session's seed (SeedSequence.spawn): the jamming seed
 # when none is given, then Bob's and Eve's channel noise.
 _SEED, _BOB_NOISE, _EVE_NOISE = range(3)
-
-# A trace's sequences, each a read-only array formed on first read.
-_SEQUENCES = ("clean_signal", "jamming", "bob_noise", "eve_noise", "bob_rx",
-              "eve_rx", "bob_post", "eve_stored", "eve_post")
 
 
 def cancellation_bits(depth_db: float) -> float:
@@ -187,7 +184,7 @@ class SimTrace:
         from concurrent.futures import ThreadPoolExecutor
 
         params = self.params
-        formed = {name: self.__dict__[name] for name in _SEQUENCES
+        formed = {name: self.__dict__[name] for name in COLUMNS
                   if name in self.__dict__}
         amplitudes = _encode_key(self.key, params.signal_power)
         stream = _own_stream(self) if params.jamming_bits_per_symbol else None

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 import tracemalloc
 
 import pytest
 
+from jkelab import output
 from jkelab.config import load_config
 from jkelab.cli import (EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                         main)
@@ -391,25 +393,30 @@ class TestSimulate:
 
     # A trace formatter that exits 3 fails the write: exit 2, and nothing
     # this run wrote remains, neither its files nor the directories it
-    # made. A file that was there before stays as it was.
+    # made. An earlier run's files, and any other file, stay as they were.
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_trace_write_leaves_nothing(self, tmp_path, capsys,
                                                monkeypatch, existing):
-        from jkelab import output
-        script = tmp_path / "child.py"
-        script.write_text("import sys\nsys.exit(3)\n")
-        monkeypatch.setattr(output.trace_rows, "__file__", str(script))
-        monkeypatch.setattr(output, "_trace_processes", lambda: 2)
         cfg = write_config(tmp_path, {"system": HEADLINE_SYSTEM,
                                       "simulate": SIM_BLOCK})
         out = tmp_path / "made" / "sim"
         if existing:
-            out.mkdir(parents=True)
+            assert main(["simulate", "--config", cfg, "--out", str(out),
+                         "--seed", "5"]) == EXIT_OK
             (out / "notes.txt").write_text("kept")
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert sorted(before) == ["config.json", "notes.txt",
+                                      "stats.json", "trace.csv"]
+        script = tmp_path / "child.py"
+        script.write_text("import sys\nsys.exit(3)\n")
+        monkeypatch.setattr(output.trace_rows, "__file__", str(script))
+        monkeypatch.setattr(output, "_trace_processes", lambda: 2)
+        capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_IO
         assert "exited with status 3" in capsys.readouterr().err
         if existing:
-            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+            assert sorted(os.listdir(out)) == sorted(before)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         else:
             assert not (tmp_path / "made").exists()
 
@@ -489,6 +496,74 @@ class TestRace:
         assert payload["race"]["verdict"] == "everlasting"
         assert payload["race"]["attacker"]["t_qc_s"] == pytest.approx(
             23.6682 * 3600, rel=1e-6)
+
+
+# Per command and output format: its argv, the config blocks it reads
+# beside "system", the output writer of the last file it writes, and that
+# file's name.
+LAST_WRITES = {
+    "analyze-json": (["analyze"], {}, "write_json", "report.json"),
+    "analyze-csv": (["analyze", "--format", "csv"], {}, "write_record_csv",
+                    "report.csv"),
+    "sweep-fig3a-csv": (["sweep"], {"sweep": {
+        "which": "fig3a", "bob_snr_db": {"values": [30.0, 32.0]},
+        "eve_snr_db": {"values": [60.0, 80.0]}}}, "write_json", "sweep.json"),
+    "sweep-fig3b-csv": (["sweep"], {"sweep": {
+        "which": "fig3b", "jamming_bits": {"values": [10, 14]},
+        "eve_jitter_s": {"values": [5e-15, 50e-15]}}}, "write_json",
+        "sweep.json"),
+    "sweep-fig3a-json": (["sweep", "--format", "json"], {"sweep": {
+        "which": "fig3a", "bob_snr_db": {"values": [30.0, 32.0]},
+        "eve_snr_db": {"values": [60.0, 80.0]}}}, "write_json", "sweep.json"),
+    "simulate": (["simulate"], {"simulate": SIM_BLOCK}, "write_trace_csv",
+                 "trace.csv"),
+    "race": (["race"], {"race": {"attacker": {"preset": "quantum-rsa2048-8h"}}},
+             "write_json", "race.json"),
+}
+
+
+class TestFailedWrite:
+    """A command whose last writer raises, after writing its file, leaves
+    ``--out`` as it was: an earlier run's files and an unrelated file stay
+    byte for byte, with no staging entry beside them, and a fresh nested
+    ``--out`` leaves none of the directories the run made."""
+
+    @pytest.mark.parametrize("error", [OSError("disk full"),
+                                       KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    @pytest.mark.parametrize("case", LAST_WRITES)
+    def test_out_stays_as_it_was(self, tmp_path, monkeypatch, case, error):
+        argv, blocks, writer, name = LAST_WRITES[case]
+
+        def config(snr_db):
+            system = HEADLINE_SYSTEM | {"bob_channel": {"snr_db": snr_db}}
+            return write_config(tmp_path, {"system": system} | blocks,
+                                f"bob-{snr_db}.json")
+
+        earlier = tmp_path / "earlier"
+        assert main([*argv, "--config", config(32.0),
+                     "--out", str(earlier)]) == EXIT_OK
+        (earlier / "notes.txt").write_text("kept")
+        before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+
+        def failing(*args, write=getattr(output, writer)):
+            written = write(*args)
+            if written.name == name:
+                raise error
+            return written
+
+        monkeypatch.setattr(output, writer, failing)
+        # The failed runs would write other bytes: another Bob SNR.
+        for out in (earlier, tmp_path / "made" / "deeper" / "out"):
+            run = [*argv, "--config", config(30.0), "--out", str(out)]
+            if isinstance(error, OSError):
+                assert main(run) == EXIT_IO
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    main(run)
+        assert sorted(os.listdir(earlier)) == sorted(before)
+        assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+        assert not (tmp_path / "made").exists()
 
 
 class TestFlags:

@@ -31,8 +31,9 @@ from hypothesis import given, settings, strategies as st
 from jkelab import config as cfg, output
 from jkelab.cli import EXIT_OK, main
 from jkelab.secrecy import (RateCells, RateSweepGrid, SecrecyReport,
-                            SnrThreshold, ThresholdKind, ThresholdSweepGrid,
-                            sweep_min_bob_snr, sweep_rate_vs_snr)
+                            SnrThreshold, ThresholdCells, ThresholdKind,
+                            ThresholdSweepGrid, sweep_min_bob_snr,
+                            sweep_rate_vs_snr)
 
 RECORDED = {
     ("analyze", "paper-operating-point", "json"): {
@@ -244,10 +245,10 @@ def _special_rate_grid():
 
 
 def _special_threshold_grid():
-    cells = tuple(tuple(THRESHOLDS[(i + 2 * j) % len(THRESHOLDS)]
-                        for j in range(5)) for i in range(3))
+    snrs = tuple(tuple(THRESHOLDS[(i + 2 * j) % len(THRESHOLDS)].snr_db
+                       for j in range(5)) for i in range(3))
     return ThresholdSweepGrid((0, 14, 32), (5e-324, 1e-15, 1e-15 * 3, 1e16, 2.0),
-                              cells)
+                              ThresholdCells(snrs))
 
 
 CONTRACT_GRIDS = {
@@ -261,7 +262,8 @@ CONTRACT_GRIDS = {
     "threshold-generated": _generated_threshold_grid,
     "threshold-special-values": _special_threshold_grid,
     "threshold-empty-row": lambda: ThresholdSweepGrid(
-        (1, 2), (1e-15,), ((), _special_threshold_grid().cells[0][:1])),
+        (1, 2), (1e-15,), ThresholdCells(
+            ((), _special_threshold_grid().cells.snr_db[0][:1]))),
 }
 
 

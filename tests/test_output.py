@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jkelab import (CancellationModel, KeyMaterial, SnrThreshold,
-                    SystemParams, ThresholdKind, output, run_jke_session,
-                    sweep_min_bob_snr, sweep_rate_vs_snr)
+from jkelab import (CancellationModel, KeyMaterial, SystemParams,
+                    ThresholdKind, output, run_jke_session, sweep_min_bob_snr,
+                    sweep_rate_vs_snr)
 from jkelab.output import _BATCH_ROWS
-from jkelab.secrecy import ThresholdSweepGrid
+from jkelab.secrecy import ThresholdCells, ThresholdSweepGrid
 from jkelab.trace_rows import COLUMNS as _TRACE_COLUMNS
 
 from conftest import HEADLINE_POINT
@@ -352,12 +352,8 @@ def test_threshold_grid_csv_matches_reference_all_kinds(tmp_path):
     # infeasible cells.
     grid = ThresholdSweepGrid(
         (0, 7, 40), (1e-15, 2.5e-13),
-        ((SnrThreshold(ThresholdKind.THRESHOLD, -199.99829429948338),
-          SnrThreshold(ThresholdKind.INFEASIBLE)),
-         (SnrThreshold(ThresholdKind.THRESHOLD, -0.0),
-          SnrThreshold(ThresholdKind.THRESHOLD, 1e+16)),
-         (SnrThreshold(ThresholdKind.THRESHOLD, 12.5),
-          SnrThreshold(ThresholdKind.INFEASIBLE))))
+        ThresholdCells(((-199.99829429948338, None), (-0.0, 1e+16),
+                        (12.5, None))))
     assert_same_bytes(output.write_threshold_grid_csv,
                       reference_threshold_grid_csv, grid, tmp_path)
 

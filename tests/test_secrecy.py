@@ -436,13 +436,6 @@ class TestThresholdSweep:
         assert len(infeasible) == 3
         assert all(cell is infeasible[0] for cell in infeasible)
 
-    @pytest.mark.parametrize("cell", [
-        secrecy.SnrThreshold(ThresholdKind.THRESHOLD),
-        secrecy.SnrThreshold(ThresholdKind.INFEASIBLE, 12.5)])
-    def test_hand_built_cell_needs_an_snr_exactly_when_feasible(self, cell):
-        with pytest.raises(ValueError, match="neither a threshold with an SNR"):
-            secrecy.ThresholdSweepGrid((14,), (5e-15,), ((cell,),))
-
     def test_threshold_outside_the_normal_range_keeps_its_message(self):
         # The linear threshold underflows to 0 at this tiny signal power.
         params = dataclasses.replace(SystemParams(**HEADLINE_POINT),

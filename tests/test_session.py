@@ -13,6 +13,7 @@ from jkelab import (AdcSpec, CancellationModel, KeyMaterial, SystemParams,
                     run_jke_session, session, true_jamming_stream)
 from jkelab.session import (WARN_MARGIN_BITS, _Moments, _moments,
                             default_jam_scale)
+from jkelab.trace_rows import COLUMNS
 
 # The bytes of one chunk-sized float64 buffer.
 CHUNK_BUFFER = 8 * jamming.CHUNK_SYMBOLS
@@ -60,8 +61,7 @@ class TestSession:
         key = KeyMaterial.random(seed=8)
         a = run_jke_session(headline_params, IDEAL, key, 4000, rng_seed=3)
         b = run_jke_session(headline_params, IDEAL, key, 4000, rng_seed=3)
-        for name in ("clean_signal", "jamming", "bob_noise", "eve_noise",
-                     "bob_rx", "eve_rx", "bob_post", "eve_stored", "eve_post"):
+        for name in COLUMNS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.stats == b.stats
 
@@ -119,8 +119,7 @@ class TestSession:
         point = dataclasses.replace(headline_params, jamming_bits_per_symbol=w)
         trace = run_jke_session(point, IDEAL, KeyMaterial.random(seed=1),
                                 300, rng_seed=3)
-        for name in ("clean_signal", "jamming", "bob_noise", "eve_noise",
-                     "bob_rx", "eve_rx", "bob_post", "eve_stored", "eve_post"):
+        for name in COLUMNS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(trace, name)[0] = 1.0
 
@@ -268,7 +267,7 @@ class TestSession:
                                     KeyMaterial.random(seed=1),
                                     3 * jamming.CHUNK_SYMBOLS + 7, rng_seed=3)
             return repr(trace.stats), [getattr(trace, name).tobytes()
-                                       for name in session._SEQUENCES]
+                                       for name in COLUMNS]
 
         want = run()
         caller, delayed = threading.get_ident(), []

@@ -18,8 +18,8 @@ import pytest
 from jkelab import config as cfg
 from jkelab.params import AdcSpec, SnrPoint, SystemParams, snr_to_noise_var
 from jkelab.secrecy import (_INFEASIBLE, ThresholdCells, ThresholdKind,
-                            ThresholdSweepGrid, min_bob_snr_for_positive_rs,
-                            secrecy_rate, sweep_min_bob_snr, sweep_rate_vs_snr)
+                            min_bob_snr_for_positive_rs, secrecy_rate,
+                            sweep_min_bob_snr, sweep_rate_vs_snr)
 
 
 def reference_rate_grid(template, bob_axis, eve_axis):
@@ -145,9 +145,6 @@ def test_threshold_cells_read_as_the_rows_they_replace():
     infeasible = [cell for row in cells for cell in row
                   if cell.kind is ThresholdKind.INFEASIBLE]
     assert all(cell is _INFEASIBLE for cell in infeasible)
-    # Rows of thresholds given by hand are kept as the same cells.
-    assert ThresholdSweepGrid(tuple(w_axis), tuple(jitter_axis),
-                              rows).cells == cells
 
 
 def test_random_fig3b_grids_match_the_reference():
